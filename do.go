@@ -159,14 +159,6 @@ type SolveRequest struct {
 	// is reused. Ignored by SolveMethodResilient, whose ladder builds its
 	// own preconditioners.
 	Engine *Engine
-	// DisableBlock opts a multi-RHS PCG request out of the block solver
-	// and back onto the sequential per-column loop. By default Do runs
-	// k > 1 right-hand sides as one block solve — every matvec and
-	// preconditioner traversal shared across columns, converged columns
-	// deflating out — which is the fast path for batched traffic. Requests
-	// with Options.Recovery enabled always take the sequential loop
-	// (restart schedules are per-column).
-	DisableBlock bool
 	// Options configures the PCG iteration (and the Chebyshev method's
 	// probe inherits its ProjectMean).
 	Options SolveOptions
@@ -260,41 +252,40 @@ func doPCG(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse)
 			return resp, err
 		}
 	}
-	// Multi-RHS requests run as one block solve unless opted out: every
-	// matvec and preconditioner traversal is shared across the columns and
-	// converged columns deflate out of the active block (see
-	// solver.BlockPCGCtx). Recovery restarts are per-column schedules, so
-	// recovery-enabled requests stay on the sequential loop.
-	if len(req.B) > 1 && !req.DisableBlock && req.Options.Recovery.MaxRestarts == 0 {
-		var results []SolveResult
-		var err error
-		if req.Engine != nil {
-			results, err = req.Engine.SolveBlock(ctx, req.B, req.Options)
-			for i := range results {
-				results[i] = detachResult(results[i])
-			}
-		} else {
-			results, err = solver.BlockPCGCtx(ctx, solver.LapOperator(g), m, req.B, req.Options)
-		}
-		resp.Results = append(resp.Results, results...)
-		return resp, err
-	}
+	// The well-formed columns run as one block solve: every matvec and
+	// preconditioner traversal is shared across them, converged columns
+	// deflate out of the active block, and under Options.Recovery the
+	// columns that break down restart together (see solver.BlockPCGCtx). A
+	// malformed column gets a zero-value result and its own error.
+	resp.Results = make([]SolveResult, len(req.B))
 	var errs []error
+	var bs [][]float64
+	var idx []int
 	for i, b := range req.B {
-		var res SolveResult
-		var err error
-		if req.Engine != nil {
-			res, err = req.Engine.SolveWith(ctx, b, req.Options)
-			res = detachResult(res)
-		} else {
-			res, err = solver.PCGCtx(ctx, solver.LapOperator(g), m, b, req.Options)
+		if len(b) != g.N() {
+			errs = append(errs, fmt.Errorf("rhs %d: length %d vs graph dimension %d: %w", i, len(b), g.N(), ErrBadDimension))
+			continue
 		}
-		resp.Results = append(resp.Results, res)
-		if err != nil {
-			errs = append(errs, fmt.Errorf("rhs %d: %w", i, err))
-		}
+		bs = append(bs, b)
+		idx = append(idx, i)
 	}
-	return resp, errors.Join(errs...)
+	if len(bs) == 0 {
+		return resp, errors.Join(errs...)
+	}
+	var results []SolveResult
+	var err error
+	if req.Engine != nil {
+		results, err = req.Engine.SolveBlock(ctx, bs, req.Options)
+	} else {
+		results, err = solver.BlockPCGCtx(ctx, solver.LapOperator(g), m, bs, req.Options)
+	}
+	for c, res := range results {
+		if req.Engine != nil {
+			res = detachResult(res)
+		}
+		resp.Results[idx[c]] = res
+	}
+	return resp, errors.Join(append(errs, err)...)
 }
 
 func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse) (*SolveResponse, error) {

@@ -10,10 +10,9 @@ import (
 	"hcd"
 )
 
-// TestDoBlockRoutingMatchesSequential: a multi-RHS PCG request takes the
-// block path by default and DisableBlock restores the sequential loop; both
-// converge to the same solutions with per-column iteration counts within
-// ±10% of each other.
+// TestDoBlockRoutingMatchesSequential: a multi-RHS PCG request runs as one
+// block solve, and converges to the same solutions as one-column requests
+// with per-column iteration counts within ±10% of theirs.
 func TestDoBlockRoutingMatchesSequential(t *testing.T) {
 	g := hcd.Grid2D(20, 20, nil, 1)
 	rng := rand.New(rand.NewSource(31))
@@ -26,10 +25,14 @@ func TestDoBlockRoutingMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	req.DisableBlock = true
-	seq, err := hcd.Do(context.Background(), g, req)
-	if err != nil {
-		t.Fatal(err)
+	seq := &hcd.SolveResponse{}
+	for _, b := range B {
+		req.B = [][]float64{b}
+		one, err := hcd.Do(context.Background(), g, req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seq.Results = append(seq.Results, one.Results...)
 	}
 	if len(block.Results) != len(B) || len(seq.Results) != len(B) {
 		t.Fatalf("result counts: block %d, sequential %d", len(block.Results), len(seq.Results))
@@ -92,9 +95,8 @@ func TestDoMultiRHSPartialFailure(t *testing.T) {
 	bad := make([]float64, g.N()-1) // wrong length
 	good2 := meanFree(rng, g.N())
 	req := hcd.SolveRequest{
-		B:            [][]float64{good1, bad, good2},
-		Precond:      hcd.PrecondSpec{Kind: hcd.PrecondJacobi},
-		DisableBlock: true, // per-column errors need the sequential loop
+		B:       [][]float64{good1, bad, good2},
+		Precond: hcd.PrecondSpec{Kind: hcd.PrecondJacobi},
 	}
 	resp, err := hcd.Do(context.Background(), g, req)
 	if err == nil {

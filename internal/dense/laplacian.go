@@ -14,11 +14,9 @@ type PinnedLaplacian struct {
 	comp  []int // component label per vertex
 	ncomp int
 	chol  *Cholesky
-	buf   []float64
-	csize []int // component sizes, for de-meaning
+	csize []int     // component sizes, for de-meaning
+	buf   []float64 // solve staging, grown on demand
 	csum  []float64
-	bufB  []float64 // block-solve staging, grown on demand
-	csumB []float64
 }
 
 // NewPinnedLaplacian factors the dense Laplacian a whose connectivity is
@@ -68,100 +66,68 @@ func NewPinnedLaplacian(a *Matrix, comp []int, ncomp int) (*PinnedLaplacian, err
 	}
 	return &PinnedLaplacian{
 		n: n, free: free, where: where, comp: comp, ncomp: ncomp,
-		chol: chol, buf: make([]float64, len(free)),
-		csize: csize, csum: make([]float64, ncomp),
+		chol: chol, csize: csize,
 	}, nil
 }
 
 // Solve writes into dst a solution of A·x = b with zero mean on every
 // component. b must be orthogonal to the constant vector on each component
-// (up to roundoff); this is not checked.
-func (p *PinnedLaplacian) Solve(dst, b []float64) {
-	if len(dst) != p.n || len(b) != p.n {
-		panic("dense: PinnedLaplacian.Solve shape mismatch")
-	}
-	for i, v := range p.free {
-		p.buf[i] = b[v]
-	}
-	if p.chol != nil {
-		p.chol.Solve(p.buf, p.buf)
-	}
-	for v := 0; v < p.n; v++ {
-		if w := p.where[v]; w >= 0 {
-			dst[v] = p.buf[w]
-		} else {
-			dst[v] = 0
-		}
-	}
-	// De-mean per component so the answer matches the pseudo-inverse.
-	for c := range p.csum {
-		p.csum[c] = 0
-	}
-	for v := 0; v < p.n; v++ {
-		p.csum[p.comp[v]] += dst[v]
-	}
-	for v := 0; v < p.n; v++ {
-		dst[v] -= p.csum[p.comp[v]] / float64(p.csize[p.comp[v]])
-	}
-}
+// (up to roundoff); this is not checked. It is SolveBlock at width 1.
+func (p *PinnedLaplacian) Solve(dst, b []float64) { p.SolveBlock(dst, b, 1) }
 
 // SolveBlock solves A·X = B for k packed right-hand sides (row-major: entry
 // (v, j) at b[v*k+j]) with zero mean per component on every column. The
 // Cholesky factor is streamed once for all k columns; per column the
-// operation order matches Solve exactly, so the results are bit-identical to
-// k scalar solves. Like Solve, not safe for concurrent use (internal
-// scratch).
+// operation order is that of a single-vector solve. Not safe for concurrent
+// use (internal scratch).
 func (p *PinnedLaplacian) SolveBlock(dst, b []float64, k int) {
-	if k == 1 {
-		p.Solve(dst[:p.n], b[:p.n])
-		return
-	}
 	if len(dst) != p.n*k || len(b) != p.n*k {
 		panic("dense: PinnedLaplacian.SolveBlock shape mismatch")
 	}
+	// Flat indices (v·k + j) rather than a row slice per vertex: at k = 1 a
+	// slice or copy call per element would cost more than the element.
 	nf := len(p.free)
-	if cap(p.bufB) < nf*k {
-		p.bufB = make([]float64, nf*k)
+	if cap(p.buf) < nf*k {
+		p.buf = make([]float64, nf*k)
 	}
-	buf := p.bufB[:nf*k]
+	buf := p.buf[:nf*k]
 	for i, v := range p.free {
-		copy(buf[i*k:i*k+k], b[v*k:v*k+k])
+		for j := 0; j < k; j++ {
+			buf[i*k+j] = b[v*k+j]
+		}
 	}
 	if p.chol != nil {
 		p.chol.SolveBlock(buf, buf, k)
 	}
 	for v := 0; v < p.n; v++ {
-		dv := dst[v*k : v*k+k : v*k+k]
-		if w := p.where[v]; w >= 0 {
-			copy(dv, buf[w*k:w*k+k])
-		} else {
-			for j := range dv {
-				dv[j] = 0
+		w := p.where[v]
+		for j := 0; j < k; j++ {
+			if w >= 0 {
+				dst[v*k+j] = buf[w*k+j]
+			} else {
+				dst[v*k+j] = 0
 			}
 		}
 	}
 	// De-mean per component so the answer matches the pseudo-inverse.
-	if cap(p.csumB) < p.ncomp*k {
-		p.csumB = make([]float64, p.ncomp*k)
+	if cap(p.csum) < p.ncomp*k {
+		p.csum = make([]float64, p.ncomp*k)
 	}
-	cs := p.csumB[:p.ncomp*k]
+	cs := p.csum[:p.ncomp*k]
 	for i := range cs {
 		cs[i] = 0
 	}
 	for v := 0; v < p.n; v++ {
-		cv := cs[p.comp[v]*k : p.comp[v]*k+k : p.comp[v]*k+k]
-		dv := dst[v*k : v*k+k : v*k+k]
-		for j := range cv {
-			cv[j] += dv[j]
+		c := p.comp[v]
+		for j := 0; j < k; j++ {
+			cs[c*k+j] += dst[v*k+j]
 		}
 	}
 	for v := 0; v < p.n; v++ {
 		c := p.comp[v]
-		cv := cs[c*k : c*k+k : c*k+k]
-		dv := dst[v*k : v*k+k : v*k+k]
 		sz := float64(p.csize[c])
-		for j := range dv {
-			dv[j] -= cv[j] / sz
+		for j := 0; j < k; j++ {
+			dst[v*k+j] -= cs[c*k+j] / sz
 		}
 	}
 }

@@ -1,39 +1,33 @@
 package graph
 
-import "hcd/internal/par"
-
 // LapMul computes dst = A·x where A is the Laplacian of g:
 // dst[v] = Σ_u w(v,u)·(x[v] − x[u]). dst and x must have length N().
 // Rows are independent, so large graphs are processed across cores; the
-// result is bit-identical to the sequential loop.
+// result is bit-identical to the sequential loop. It is LapMulBlock at
+// width 1.
 func (g *Graph) LapMul(dst, x []float64) {
-	n := g.N()
-	// Serial short-circuit below the grain (and on one worker): the closure
-	// below escapes to worker goroutines and would heap-allocate per call,
-	// which matters for the solver engine's zero-allocation small solves.
-	if n <= 8192 || par.Workers() == 1 {
-		g.lapMulRange(dst, x, 0, n)
-		return
-	}
-	par.For(n, 8192, func(lo, hi int) {
-		g.lapMulRange(dst, x, lo, hi)
-	})
+	g.lapMulBlockDispatch(dst, nil, x, 1)
 }
 
 // LapMulSerial is the single-goroutine matvec, bit-identical to LapMul. It
 // exists as the reference implementation for equality tests and for
 // benchmarking the parallel row-blocked path against a fixed serial baseline.
 func (g *Graph) LapMulSerial(dst, x []float64) {
-	g.lapMulRange(dst, x, 0, g.N())
+	g.lapMulRange(dst, nil, x, 0, g.N())
 }
 
-func (g *Graph) lapMulRange(dst, x []float64, lo, hi int) {
+// lapMulRange computes rows [lo, hi) of dst = A·x, or of dst = r − A·x when
+// r is non-nil (the residual is completed per row, then subtracted).
+func (g *Graph) lapMulRange(dst, r, x []float64, lo, hi int) {
 	for v := lo; v < hi; v++ {
 		nbr, w := g.Neighbors(v)
 		acc := 0.0
 		xv := x[v]
 		for i, u := range nbr {
 			acc += w[i] * (xv - x[u])
+		}
+		if r != nil {
+			acc = r[v] - acc
 		}
 		dst[v] = acc
 	}

@@ -15,8 +15,8 @@ import "hcd/internal/par"
 // like LapMul, and the result is bit-identical at any GOMAXPROCS.
 
 // blockRowGrain returns the per-chunk row count for width-k block sweeps:
-// the scalar matvec grain scaled down by the block width so one chunk still
-// touches roughly the same number of floats, floored to keep scheduling
+// the width-1 matvec grain (8192 rows) scaled down by the block width so one
+// chunk touches roughly the same number of floats, floored to keep scheduling
 // overhead bounded.
 func blockRowGrain(k int) int {
 	g := 8192 / k
@@ -28,8 +28,7 @@ func blockRowGrain(k int) int {
 
 // LapMulBlock computes dst = A·X for the row-major [n][k] block X, where A
 // is the Laplacian of g: dst[v*k+j] = Σ_u w(v,u)·(X[v*k+j] − X[u*k+j]).
-// dst and x must have length N()·k. For k = 1 it is LapMul with the same
-// serial short-circuit behavior.
+// dst and x must have length N()·k. For k = 1 it is LapMul.
 func (g *Graph) LapMulBlock(dst, x []float64, k int) {
 	g.lapMulBlockDispatch(dst, nil, x, k)
 }
@@ -40,23 +39,15 @@ func (g *Graph) LapMulBlock(dst, x []float64, k int) {
 // completed first and then subtracted from r, exactly the two-step operation
 // order, so the result is bit-identical to the unfused sequence.
 func (g *Graph) LapMulBlockResidual(dst, r, x []float64, k int) {
-	if k == 1 {
-		g.LapMul(dst, x)
-		for v := range dst {
-			dst[v] = r[v] - dst[v]
-		}
-		return
-	}
 	g.lapMulBlockDispatch(dst, r, x, k)
 }
 
 // lapMulBlockDispatch runs the (possibly fused-residual: r non-nil) block
 // matvec with the shared serial short-circuit and row-chunked parallel path.
+// The serial short-circuit matters beyond speed: the closure below escapes
+// to worker goroutines and would heap-allocate per call, which the solver
+// engine's zero-allocation small solves cannot afford.
 func (g *Graph) lapMulBlockDispatch(dst, r, x []float64, k int) {
-	if k == 1 && r == nil {
-		g.LapMul(dst, x)
-		return
-	}
 	n := g.N()
 	grain := blockRowGrain(k)
 	if n <= grain || par.Workers() == 1 {
@@ -69,8 +60,9 @@ func (g *Graph) lapMulBlockDispatch(dst, r, x []float64, k int) {
 }
 
 // lapMulBlockRange computes rows [lo, hi) of dst = A·X — or dst = R − A·X
-// when r is non-nil — in fixed-width column tiles: 8-wide, then 4-wide, then
-// a 1–3 column tail. Each tile keeps its accumulators in locals, so the
+// when r is non-nil. Width 1 is the plain matvec row loop (lapMulRange).
+// Wider blocks run in fixed-width column tiles: 8-wide, then 4-wide, then a
+// 1–3 column tail. Each tile keeps its accumulators in locals, so the
 // neighbor loop runs register-to-register — a slice accumulator into dst
 // would force a store/reload per neighbor because the compiler cannot prove
 // dst and x do not alias. A tile re-reads the row's neighbor indices and
@@ -79,6 +71,10 @@ func (g *Graph) lapMulBlockDispatch(dst, r, x []float64, k int) {
 // optional subtraction from r) is identical across tile widths, so results
 // match the untiled form bit for bit.
 func (g *Graph) lapMulBlockRange(dst, r, x []float64, k, lo, hi int) {
+	if k == 1 {
+		g.lapMulRange(dst, r, x, lo, hi)
+		return
+	}
 	j := 0
 	for ; j+8 <= k; j += 8 {
 		g.lapMulBlockTile8(dst, r, x, k, j, lo, hi)

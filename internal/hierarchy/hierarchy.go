@@ -63,12 +63,11 @@ type Hierarchy struct {
 	levels  []*Level
 	coarseG *graph.Graph
 	coarse  *dense.PinnedLaplacian
-	cbuf    []float64
-	// Apply state: pooled per-apply work buffers shared by the scalar and
-	// block cycles, and a lock serializing the coarse factorization's
-	// internal scratch. Both make concurrent Apply/ApplyBlock calls on one
-	// Hierarchy safe — the server's pooled engines solve through a shared
-	// Hierarchy from several goroutines at once.
+	// Apply state: pooled per-apply work buffers and a lock serializing the
+	// coarse factorization's internal scratch. Both make concurrent
+	// Apply/ApplyBlock calls on one Hierarchy safe — the server's pooled
+	// engines solve through a shared Hierarchy from several goroutines at
+	// once.
 	bwPool   sync.Pool
 	coarseMu sync.Mutex
 }
@@ -190,7 +189,6 @@ func (h *Hierarchy) finish(cur *graph.Graph) error {
 		return fmt.Errorf("hierarchy: coarse factorization failed: %w", err)
 	}
 	h.coarse = pin
-	h.cbuf = make([]float64, cur.N())
 	return nil
 }
 
@@ -227,7 +225,6 @@ func (h *Hierarchy) MemoryBytes() int64 {
 		cn := int64(h.coarseG.N())
 		b += h.coarseG.Bytes() + 8*cn*cn
 	}
-	b += 8 * int64(len(h.cbuf))
 	return b
 }
 
@@ -241,14 +238,26 @@ func (h *Hierarchy) Dim() int {
 
 // Apply computes dst ≈ B⁺·r multilevel-recursively. It is a fixed symmetric
 // positive semidefinite linear operator, hence a valid stationary PCG
-// preconditioner. Work buffers come from the hierarchy's apply pool and the
-// coarse direct solve is serialized, so Apply is safe for concurrent use —
-// and, because every sweep is elementwise or a fixed-order segmented sum,
+// preconditioner. It is ApplyBlock at width 1: safe for concurrent use and
 // bit-identical at any worker count.
-func (h *Hierarchy) Apply(dst, r []float64) {
-	w, _ := h.bwPool.Get().(*blockWork)
+func (h *Hierarchy) Apply(dst, r []float64) { h.ApplyBlock(dst, r, 1) }
+
+// ApplyBlock computes dst ≈ B⁺·r for k packed row-major columns (dst[v*k+j]
+// is column j at vertex v): one traversal of the hierarchy smooths,
+// restricts and coarse-solves all k residuals, so every quotient graph and
+// every level's diagonal stream through memory once per cycle instead of
+// once per column — the amortization the block Laplacian matvec gets from
+// the CSR. It implements the solver's BlockApplier fast path.
+//
+// Work buffers come from the hierarchy's sync.Pool and the coarse direct
+// solve is serialized, so concurrent applies on one Hierarchy — the server's
+// pooled engines land here — are safe. Every step is elementwise, a
+// fixed-order segmented sum, or the GOMAXPROCS-invariant LapMulBlock, so the
+// result is bit-identical at any worker count.
+func (h *Hierarchy) ApplyBlock(dst, r []float64, k int) {
+	w, _ := h.bwPool.Get().(*applyWork)
 	if w == nil {
-		w = &blockWork{}
+		w = &applyWork{}
 	}
 	for len(w.rq) < len(h.levels) {
 		w.rq = append(w.rq, nil)
@@ -256,93 +265,194 @@ func (h *Hierarchy) Apply(dst, r []float64) {
 		w.tmp = append(w.tmp, nil)
 		w.tmp2 = append(w.tmp2, nil)
 	}
-	h.applyLevel(0, dst, r, w)
+	h.applyLevel(0, dst, r, k, w)
 	h.bwPool.Put(w)
 }
 
-func (h *Hierarchy) applyLevel(level int, dst, r []float64, w *blockWork) {
+// applyWork holds one in-flight apply's buffers: per-level packed quotient
+// and smoothing vectors.
+type applyWork struct {
+	rq, xq, tmp, tmp2 [][]float64 // per level, [Count·k] / [n·k]
+}
+
+func growBuf(buf *[]float64, n int) []float64 {
+	if cap(*buf) < n {
+		*buf = make([]float64, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+// elemGrain is the minimum per-chunk float count for the elementwise sweeps
+// below; below it par.For degrades to one sequential call.
+const elemGrain = 8192
+
+// blockElemGrain scales the elementwise sweep grain by the block width so a
+// chunk touches roughly the same number of floats at every width.
+func blockElemGrain(k int) int {
+	g := elemGrain / k
+	if g < 512 {
+		g = 512
+	}
+	return g
+}
+
+// omega is the damped-Jacobi smoothing weight of the V-cycle.
+const omega = 0.5
+
+// applyLevel runs the cycle from level down.
+func (h *Hierarchy) applyLevel(level int, dst, r []float64, k int, w *applyWork) {
 	if level == len(h.levels) {
-		// The dense solver owns internal scratch; the lock keeps concurrent
-		// applies out of it.
+		// Coarse direct solve, all k columns through one pass over the
+		// Cholesky factor. The dense solver owns internal scratch, so it
+		// runs under the hierarchy's coarse lock.
 		h.coarseMu.Lock()
-		h.coarse.Solve(dst, r)
+		h.coarse.SolveBlock(dst, r, k)
 		h.coarseMu.Unlock()
 		return
 	}
 	l := h.levels[level]
 	n := l.G.N()
-	rq := growBuf(&w.rq[level], l.D.Count)
-	xq := growBuf(&w.xq[level], l.D.Count)
+	grain := blockElemGrain(k)
+	rq := growBuf(&w.rq[level], l.D.Count*k)
+	xq := growBuf(&w.xq[level], l.D.Count*k)
 	if l.smooth == 0 {
 		// Pure Steiner recursion: dst = D⁻¹r + R·coarse(Rᵀr).
-		restrict(l, r, rq)
-		h.applyLevel(level+1, xq, rq, w)
-		par.For(n, elemGrain, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				dst[v] = r[v]*l.dInv[v] + xq[l.D.Assign[v]]
-			}
-		})
+		restrictBlock(l, r, k, rq)
+		h.applyLevel(level+1, xq, rq, k, w)
+		par.For(n, grain, func(lo, hi int) { prolongSweep(l, dst, r, xq, k, lo, hi) })
 		return
 	}
 	// Symmetric V-cycle: damped-Jacobi pre-smooth (from zero), coarse
 	// correction, damped-Jacobi post-smooth. ω = 1/2 keeps I − ωD⁻¹A PSD
 	// since λmax(D⁻¹A) ≤ 2, so the cycle is SPD. The elementwise sweeps are
 	// row-independent and fan out across cores alongside the parallel
-	// LapMul matvec.
-	const omega = 0.5
+	// matvec.
 	x := dst
-	tmp := growBuf(&w.tmp[level], n)
-	tmp2 := growBuf(&w.tmp2[level], n)
-	par.For(n, elemGrain, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			x[v] = omega * r[v] * l.dInv[v]
-		}
-	})
+	tmp := growBuf(&w.tmp[level], n*k)
+	tmp2 := growBuf(&w.tmp2[level], n*k)
+	par.For(n, grain, func(lo, hi int) { jacobiSweep(l, x, r, nil, k, lo, hi) })
 	for s := 1; s < l.smooth; s++ {
-		l.G.LapMul(tmp, x)
-		par.For(n, elemGrain, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				x[v] += omega * (r[v] - tmp[v]) * l.dInv[v]
-			}
-		})
+		l.G.LapMulBlock(tmp, x, k)
+		par.For(n, grain, func(lo, hi int) { jacobiSweep(l, x, r, tmp, k, lo, hi) })
 	}
-	l.G.LapMul(tmp, x)
-	par.For(n, elemGrain, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			tmp[v] = r[v] - tmp[v]
-		}
-	})
-	restrict(l, tmp, rq)
-	h.applyLevel(level+1, xq, rq, w)
-	par.For(n, elemGrain, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			x[v] += xq[l.D.Assign[v]]
-		}
-	})
+	l.G.LapMulBlockResidual(tmp, r, x, k)
+	restrictBlock(l, tmp, k, rq)
+	h.applyLevel(level+1, xq, rq, k, w)
+	par.For(n, grain, func(lo, hi int) { prolongSweep(l, x, nil, xq, k, lo, hi) })
 	for s := 0; s < l.smooth; s++ {
-		l.G.LapMul(tmp2, x)
-		par.For(n, elemGrain, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				x[v] += omega * (r[v] - tmp2[v]) * l.dInv[v]
-			}
-		})
+		l.G.LapMulBlock(tmp2, x, k)
+		par.For(n, grain, func(lo, hi int) { jacobiSweep(l, x, r, tmp2, k, lo, hi) })
 	}
 }
 
-// elemGrain is the minimum per-chunk size for the elementwise sweeps above;
-// below it par.For degrades to one sequential call.
-const elemGrain = 8192
+// The elementwise sweeps below cover vertices [lo, hi) of a packed width-k
+// block. Each has a width-1 loop over plain slices: the general form's
+// per-vertex column loop costs more than the element it computes at k = 1.
 
-// restrict computes rq = Rᵀr: each cluster sums its members in the fixed
-// cluster-sorted order, so the result does not depend on worker chunking.
-func restrict(l *Level, r, rq []float64) {
-	par.For(l.D.Count, 512, func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			acc := 0.0
-			for i := l.start[c]; i < l.start[c+1]; i++ {
-				acc += r[l.order[i]]
+// jacobiSweep is damped Jacobi: x = ω·D⁻¹·r when ax is nil (the pre-smooth
+// from zero), else x += ω·D⁻¹·(r − ax) with ax = A·x.
+func jacobiSweep(l *Level, x, r, ax []float64, k, lo, hi int) {
+	if k == 1 {
+		d, x, r := l.dInv[lo:hi], x[lo:hi], r[lo:hi]
+		r = r[:len(x)]
+		if ax == nil {
+			for v, dv := range d {
+				x[v] = omega * dv * r[v]
 			}
-			rq[c] = acc
+			return
+		}
+		ax = ax[lo:hi]
+		for v, dv := range d {
+			x[v] += omega * dv * (r[v] - ax[v])
+		}
+		return
+	}
+	for v := lo; v < hi; v++ {
+		od := omega * l.dInv[v]
+		xv := x[v*k : v*k+k : v*k+k]
+		rv := r[v*k : v*k+k : v*k+k]
+		if ax == nil {
+			for j := range xv {
+				xv[j] = od * rv[j]
+			}
+			continue
+		}
+		av := ax[v*k : v*k+k : v*k+k]
+		for j := range xv {
+			xv[j] += od * (rv[j] - av[j])
+		}
+	}
+}
+
+// prolongSweep adds the coarse correction, x += R·xq, or with r non-nil
+// sets x = D⁻¹·r + R·xq (the pure Steiner step).
+func prolongSweep(l *Level, x, r, xq []float64, k, lo, hi int) {
+	assign := l.D.Assign
+	if k == 1 {
+		a, x := assign[lo:hi], x[lo:hi]
+		a = a[:len(x)]
+		if r == nil {
+			for v, c := range a {
+				x[v] += xq[c]
+			}
+			return
+		}
+		d, r := l.dInv[lo:hi], r[lo:hi]
+		for v, c := range a {
+			x[v] = r[v]*d[v] + xq[c]
+		}
+		return
+	}
+	for v := lo; v < hi; v++ {
+		q := xq[assign[v]*k : assign[v]*k+k : assign[v]*k+k]
+		xv := x[v*k : v*k+k : v*k+k]
+		if r == nil {
+			for j := range xv {
+				xv[j] += q[j]
+			}
+			continue
+		}
+		dv := l.dInv[v]
+		rv := r[v*k : v*k+k : v*k+k]
+		for j := range xv {
+			xv[j] = rv[j]*dv + q[j]
+		}
+	}
+}
+
+// restrictBlock computes rq = Rᵀr per column: each cluster sums its members'
+// packed rows in the fixed cluster-sorted order, so the result does not
+// depend on how clusters are chunked across workers. The width-1 form
+// accumulates in a local; a slice accumulator would store and reload per
+// member.
+func restrictBlock(l *Level, r []float64, k int, rq []float64) {
+	grain := 512 / k
+	if grain < 8 {
+		grain = 8
+	}
+	par.For(l.D.Count, grain, func(lo, hi int) {
+		if k == 1 {
+			for c := lo; c < hi; c++ {
+				acc := 0.0
+				for _, v := range l.order[l.start[c]:l.start[c+1]] {
+					acc += r[v]
+				}
+				rq[c] = acc
+			}
+			return
+		}
+		for c := lo; c < hi; c++ {
+			acc := rq[c*k : c*k+k : c*k+k]
+			for j := range acc {
+				acc[j] = 0
+			}
+			for _, v := range l.order[l.start[c]:l.start[c+1]] {
+				rv := r[v*k:]
+				for j := range acc {
+					acc[j] += rv[j]
+				}
+			}
 		}
 	})
 }

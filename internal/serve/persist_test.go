@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -473,5 +474,48 @@ func TestHealthEndpoints(t *testing.T) {
 	}
 	if hdr.Get("Retry-After") == "" {
 		t.Error("draining readyz carries no Retry-After")
+	}
+}
+
+// TestRemovalsDurableOnReturn: a DELETE unlinks the snapshot and syncs the
+// manifest before its 204, and Close waits for the snapshot removals LRU
+// eviction started, so the state dir is final as soon as either returns.
+func TestRemovalsDurableOnReturn(t *testing.T) {
+	dir := t.TempDir()
+	srv, c := newTestServer(t, Config{StateDir: dir, MaxHandles: 2})
+	var ids []string
+	for i := 0; i < 4; i++ {
+		code, body, _ := c.do("POST", fmt.Sprintf("/v1/graphs?spec=grid2d:%d&wait=true", 8+i), "", nil)
+		if code != http.StatusCreated || body["status"] != "ready" {
+			t.Fatalf("submit %d: code %d body %v", i, code, body)
+		}
+		ids = append(ids, body["id"].(string))
+	}
+	// ids[0] and ids[1] were evicted by the later submits.
+	m, _ := (&persister{dir: dir}).loadManifest()
+	checkGone := func(id string) {
+		t.Helper()
+		if _, err := os.Stat(filepath.Join(dir, id+".snap")); !os.IsNotExist(err) {
+			t.Errorf("snapshot of %s still on disk (stat err %v)", id, err)
+		}
+		for _, e := range m.Handles {
+			if e.ID == id {
+				t.Errorf("manifest still lists %s", id)
+			}
+		}
+	}
+	if code, _, _ := c.do("DELETE", "/v1/graphs/"+ids[3], "", nil); code != http.StatusNoContent {
+		t.Fatalf("delete: code %d", code)
+	}
+	m, _ = (&persister{dir: dir}).loadManifest()
+	checkGone(ids[3])
+
+	srv.Close()
+	m, _ = (&persister{dir: dir}).loadManifest()
+	for _, id := range []string{ids[0], ids[1], ids[3]} {
+		checkGone(id)
+	}
+	if len(m.Handles) != 1 || m.Handles[0].ID != ids[2] {
+		t.Errorf("manifest after Close lists %+v, want only %s", m.Handles, ids[2])
 	}
 }

@@ -180,6 +180,7 @@ func (s *Server) Drain(ctx context.Context) error {
 	done := make(chan struct{})
 	go func() {
 		s.inflight.Wait()
+		s.store.bg.Wait()
 		close(done)
 	}()
 	select {
@@ -195,8 +196,10 @@ func (s *Server) Drain(ctx context.Context) error {
 // cleanup — snapshots and the manifest stay exactly as the last sync left
 // them. It is the in-process analogue of kill -9, used by crash-recovery
 // tests and the chaos battery; production shutdown pairs Drain with
-// http.Server.Shutdown instead.
+// http.Server.Shutdown instead. Close does wait for the snapshot removals
+// that evictions already started, so no store goroutine outlives it.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.store.closeAll()
+	s.store.bg.Wait()
 }

@@ -134,6 +134,10 @@ type store struct {
 	pst        *persister // nil = memory-only (no -state-dir)
 	breaker    int        // consecutive build failures before degrading; ≤ 0 disables
 
+	// bg tracks the snapshot removals eviction starts; Close and Drain
+	// wait for them.
+	bg sync.WaitGroup
+
 	mu     sync.Mutex
 	byID   map[string]*handle
 	lru    *list.List // front = most recently used; values are *handle
@@ -336,17 +340,25 @@ func (s *store) evictLocked(need int64, extra int) error {
 			}
 			return nil // over handle cap but nothing evictable; tolerate
 		}
-		s.removeLocked(victim)
+		if file := s.removeLocked(victim); file != "" {
+			// Eviction runs under store.mu, so the snapshot goes on a
+			// goroutine the store owns; Close and Drain join it.
+			s.bg.Add(1)
+			go func() {
+				defer s.bg.Done()
+				s.dropSnapshot(file)
+			}()
+		}
 		counter(s.reg, metricEvictions)
 	}
 	return nil
 }
 
 // removeLocked unlinks a handle and returns its bytes to the budget. The
-// handle's durable state goes with it: snapshot removal and the manifest
-// rewrite run on a fresh goroutine because the persister lock must never be
-// taken under store.mu.
-func (s *store) removeLocked(h *handle) {
+// handle's durable state goes with it, but the persister lock must never be
+// taken under store.mu: the caller passes the returned snapshot file ("" if
+// none) to dropSnapshot once store.mu is released.
+func (s *store) removeLocked(h *handle) string {
 	if h.elem != nil {
 		s.lru.Remove(h.elem)
 		h.elem = nil
@@ -359,14 +371,21 @@ func (s *store) removeLocked(h *handle) {
 	if h.cancel != nil {
 		h.cancel()
 	}
-	if h.snapFile != "" && s.pst != nil {
-		file := h.snapFile
-		h.snapFile = ""
-		go func() {
-			s.pst.removeSnapshot(file)
-			s.syncManifest()
-		}()
+	file := ""
+	if s.pst != nil {
+		file, h.snapFile = h.snapFile, ""
 	}
+	return file
+}
+
+// dropSnapshot unlinks a removed handle's snapshot and rewrites the manifest
+// without it. Callers must not hold store.mu.
+func (s *store) dropSnapshot(file string) {
+	if file == "" {
+		return
+	}
+	s.pst.removeSnapshot(file)
+	s.syncManifest()
 }
 
 // Get returns the handle and a release func that must be called when the
@@ -396,15 +415,19 @@ func (s *store) Get(id string) (*handle, func(), error) {
 
 // Delete evicts a handle explicitly. In-flight solves holding the handle
 // finish normally — the memory is reclaimed when they drop their references.
+// The deletion is durable when Delete returns: the snapshot is unlinked and
+// the manifest synced without the handle.
 func (s *store) Delete(id string) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	h, ok := s.byID[id]
 	if !ok {
+		s.mu.Unlock()
 		return ErrNotFound
 	}
-	s.removeLocked(h)
+	file := s.removeLocked(h)
 	s.publishLocked()
+	s.mu.Unlock()
+	s.dropSnapshot(file)
 	return nil
 }
 

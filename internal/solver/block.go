@@ -12,23 +12,21 @@ import (
 	"hcd/internal/par"
 )
 
-// Block PCG: one preconditioned-CG iteration driving k right-hand sides at
-// once. Each column runs its own scalar PCG recurrence — its own α, β, rz —
-// but every matvec, preconditioner apply and level-1 kernel walks the packed
-// [n][k] block in a single traversal, so the CSR matrix, the hierarchy
-// quotients and the work vectors stream through memory once per iteration
-// instead of once per column. On bandwidth-bound Laplacian solves that
-// amortization is the whole win; the arithmetic is identical to k scalar
-// solves.
+// The PCG driver: one preconditioned-CG iteration running k right-hand sides
+// at once, k = 1 included. Each column runs its own PCG recurrence — its own
+// α, β, rz — but every matvec, preconditioner apply and level-1 kernel walks
+// the packed [n][k] block in a single traversal, so the CSR matrix, the
+// hierarchy quotients and the work vectors stream through memory once per
+// iteration instead of once per column. On bandwidth-bound Laplacian solves
+// that amortization is the whole win; per column the arithmetic is that of
+// a single-vector solve.
 //
 // Columns converge (or fail) independently: a finished column's iterate is
 // copied out and the packed block is left-compacted, so the active width
 // shrinks and later iterations do proportionally less work (deflation).
-// k = 1 is routed to the scalar core and is bit-identical to PCGCtx.
 //
-// Options.Recovery is not supported here — per-column restart schedules
-// would desynchronize the block. Callers wanting recovery run the scalar
-// path per column (hcd.Do does exactly that).
+// Options.Recovery restarts the columns that ended in a recoverable outcome
+// together, as one compacted warm block (see RecoveryPolicy).
 
 // BlockApplier is the optional fast path an Operator or Preconditioner can
 // implement to apply itself to k packed row-major columns in one traversal
@@ -38,20 +36,22 @@ type BlockApplier interface {
 	ApplyBlock(dst, x []float64, k int)
 }
 
-// applier is the shape Operator and Preconditioner share; the block core
-// treats both uniformly.
+// applier is the shape Operator and Preconditioner share; the driver treats
+// both uniformly.
 type applier interface {
 	Apply(dst, x []float64)
 }
 
-// blockScratch owns the work buffers of one block solve. An Engine keeps one
-// alive so repeated block solves reuse every buffer; the packed buffers are
-// sized n·k and shrink-to-fit is never performed, so a warmed scratch
-// allocates nothing for any solve with the same or smaller n·k.
-type blockScratch struct {
+// scratch owns the work buffers of one solve. A fresh scratch per call gives
+// allocate-per-solve behavior; an Engine keeps one alive so repeated solves
+// reuse every buffer. The packed buffers are sized n·k and never shrunk, so
+// a warmed scratch allocates nothing for any solve with the same or smaller
+// n·k.
+type scratch struct {
 	x, r, z, p, ap []float64 // packed row-major [n][kActive]
 	colIn, colOut  []float64 // column staging for non-block Apply fallback
 	partial        []float64 // chunked-reduction partial table, [chunks][k]
+	args           rowArgs   // operands of the running kernel
 
 	// Per-active-position state, compacted alongside the packed buffers.
 	rz, rzNew, refNorm         []float64
@@ -60,18 +60,21 @@ type blockScratch struct {
 	active                     []int // active position -> original column
 	dead                       []bool
 	keep                       []int
+	cols, retry                []int // an attempt's columns: all, then the recoverable ones
 
 	// Per original column, reused across solves on one Engine.
-	xcols  [][]float64
-	resid  [][]float64
-	alphas [][]float64
-	betas  [][]float64
+	one     [1][]float64 // the right-hand side of a width-1 solve
+	results []Result
+	xcols   [][]float64
+	resid   [][]float64
+	alphas  [][]float64
+	betas   [][]float64
 
 	allocs int
 }
 
 // vec returns *buf resized to n, reusing capacity when possible.
-func (s *blockScratch) vec(buf *[]float64, n int) []float64 {
+func (s *scratch) vec(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
 		*buf = make([]float64, n)
 		s.allocs++
@@ -81,7 +84,7 @@ func (s *blockScratch) vec(buf *[]float64, n int) []float64 {
 }
 
 // col returns the j-th per-column buffer resized to n.
-func (s *blockScratch) col(bufs *[][]float64, j, n int) []float64 {
+func (s *scratch) col(bufs *[][]float64, j, n int) []float64 {
 	for len(*bufs) <= j {
 		*bufs = append(*bufs, nil)
 	}
@@ -94,7 +97,7 @@ func (s *blockScratch) col(bufs *[][]float64, j, n int) []float64 {
 }
 
 // ints / bools mirror vec for the small index buffers.
-func (s *blockScratch) ints(buf *[]int, n int) []int {
+func (s *scratch) ints(buf *[]int, n int) []int {
 	if cap(*buf) < n {
 		*buf = make([]int, n)
 	}
@@ -102,7 +105,7 @@ func (s *blockScratch) ints(buf *[]int, n int) []int {
 	return *buf
 }
 
-func (s *blockScratch) bools(buf *[]bool, n int) []bool {
+func (s *scratch) bools(buf *[]bool, n int) []bool {
 	if cap(*buf) < n {
 		*buf = make([]bool, n)
 	}
@@ -113,8 +116,8 @@ func (s *blockScratch) bools(buf *[]bool, n int) []bool {
 // applyBlock applies op to the packed [n][kA] block: one fused traversal
 // when op implements BlockApplier, otherwise column by column through the
 // staging vectors. A width-1 block is a plain vector, so it goes straight
-// through the scalar Apply.
-func (s *blockScratch) applyBlock(op applier, dst, x []float64, n, kA int) {
+// through Apply.
+func (s *scratch) applyBlock(op applier, dst, x []float64, n, kA int) {
 	if kA == 1 {
 		op.Apply(dst[:n], x[:n])
 		return
@@ -138,41 +141,38 @@ func (s *blockScratch) applyBlock(op applier, dst, x []float64, n, kA int) {
 
 // BlockPCGCtx solves A·x_j = b_j for all columns of bs with block PCG and
 // fresh work buffers, returning one Result per column (same order). A single
-// right-hand side delegates to PCGCtx and is bit-identical to it. See
+// right-hand side is the width-1 block, the same solve PCGCtx runs. See
 // Engine.SolveBlock for the buffer-reusing form.
 func BlockPCGCtx(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, opt Options) ([]Result, error) {
-	if len(bs) == 1 {
-		res, err := PCGCtx(ctx, a, m, bs[0], opt)
-		if err != nil {
-			return nil, err
-		}
-		return []Result{res}, nil
-	}
-	var s blockScratch
-	return blockCore(ctx, a, m, bs, opt, &s)
+	var s scratch
+	return pcgCore(ctx, a, m, bs, opt, &s)
 }
 
-// blockCore is the block-PCG driver. It mirrors pcgIter's operation order
-// exactly — same guard sequence, same breakdown checks in the same places —
-// but runs every step k columns wide and deflates columns as they finish.
-func blockCore(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, opt Options, s *blockScratch) (results []Result, err error) {
-	ctx, sp := obs.StartSpan(ctx, "solve/block-pcg")
+// solve1 runs pcgCore on the single right-hand side b: the width-1 entry
+// behind PCGCtx and Engine.Solve.
+func (s *scratch) solve1(ctx context.Context, a Operator, m Preconditioner, b []float64, opt Options) (Result, error) {
+	s.one[0] = b
+	results, err := pcgCore(ctx, a, m, s.one[:], opt, s)
+	s.one[0] = nil
+	if len(results) == 0 {
+		return Result{}, err
+	}
+	return results[0], err
+}
+
+// pcgCore is the single PCG driver behind PCG, PCGCtx, CG, BlockPCGCtx and
+// the Engine solves: one attempt over every column, then the
+// Options.Recovery restarts. The returned slice and every Result slice alias
+// the scratch buffers. A panic during the solve — including worker panics
+// surfaced by internal/par — is returned as an error carrying the panicking
+// goroutine's stack.
+func pcgCore(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, opt Options, s *scratch) (results []Result, err error) {
+	ctx, sp := obs.StartSpan(ctx, "solve/pcg")
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("solver: panic during solve: %w", par.AsError(v))
 		}
-		if sp != nil {
-			sp.Arg("k", len(bs))
-			if err == nil && len(results) > 0 {
-				iters := 0
-				for i := range results {
-					if results[i].Iterations > iters {
-						iters = results[i].Iterations
-					}
-				}
-				sp.Arg("iterations", iters)
-			}
-		}
+		annotateSolveSpan(sp, results, s.cols)
 		sp.End()
 		if err == nil {
 			if reg := obs.RegistryFrom(ctx); reg != nil {
@@ -183,7 +183,6 @@ func blockCore(ctx context.Context, a Operator, m Preconditioner, bs [][]float64
 			}
 		}
 	}()
-	start := time.Now()
 	n := a.Dim()
 	k := len(bs)
 	if k == 0 {
@@ -212,25 +211,103 @@ func blockCore(ctx context.Context, a Operator, m Preconditioner, bs [][]float64
 	if opt.CheckEvery <= 0 {
 		opt.CheckEvery = 8
 	}
-	divTol := opt.DivergenceTol
-	if divTol == 0 {
-		divTol = 1e8
+	if opt.DivergenceTol == 0 {
+		opt.DivergenceTol = 1e8
 	}
-	stagEps := opt.StagnationEps
-	if stagEps <= 0 {
-		stagEps = 1e-3
+	if opt.StagnationEps <= 0 {
+		opt.StagnationEps = 1e-3
 	}
 
 	startAllocs := s.allocs
+	if cap(s.results) < k {
+		s.results = make([]Result, k)
+		s.allocs++
+	}
+	results = s.results[:k]
+	cols := s.ints(&s.cols, k)
+	for j := range results {
+		x := s.col(&s.xcols, j, n)
+		zero(x)
+		results[j] = Result{
+			X:         x,
+			Residuals: s.col(&s.resid, j, 0),
+			Alphas:    s.col(&s.alphas, j, 0),
+			Betas:     s.col(&s.betas, j, 0),
+		}
+		cols[j] = j
+	}
+	s.attempt(ctx, a, m, bs, cols, opt, false)
+
+	// Recovery: the columns whose attempt ended recoverably restart together.
+	// The rare path, so the backoff timer may allocate.
+	backoff := opt.Recovery.Backoff
+	for restart := 1; restart <= opt.Recovery.MaxRestarts; restart++ {
+		retry := s.retry[:0]
+		for j := range results {
+			if recoverable(results[j].Outcome) {
+				retry = append(retry, j)
+			}
+		}
+		s.retry = retry
+		if len(retry) == 0 {
+			break
+		}
+		if backoff > 0 {
+			if !sleepCtx(ctx, backoff) {
+				for _, j := range retry {
+					res := &results[j]
+					res.Outcome = OutcomeCancelled
+					res.Converged = false
+					res.Reason = "cancelled during restart backoff after: " + res.Reason
+				}
+				break
+			}
+			backoff *= 2
+		}
+		for _, j := range retry {
+			results[j].Metrics.Restarts = restart
+		}
+		s.attempt(ctx, a, m, bs, retry, opt, true)
+	}
+
+	scratchAllocs := s.allocs - startAllocs
+	for j := range results {
+		res := &results[j]
+		// Scratch growth is a property of the shared traversal; every column
+		// reports the solve-level value.
+		res.Metrics.ScratchAllocs = scratchAllocs
+		// Hand the (possibly grown) history buffers back for reuse.
+		s.resid[j] = res.Residuals
+		s.alphas[j] = res.Alphas
+		s.betas[j] = res.Betas
+	}
+	return results, nil
+}
+
+// attempt runs one PCG attempt on the columns cols of bs (ascending original
+// indices), packed into a block of width len(cols) that deflates as columns
+// finish. Per column it appends to the residual history, adds to the
+// metrics, and leaves the iterate in results[j].X.
+//
+// warm marks a recovery restart: each column resumes from its iterate in
+// results[j].X (reset to zero only if non-finite), the residual is
+// recomputed as b − A·x, its ‖r₀‖ sample is not recorded (it re-measures the
+// iterate the previous attempt ended on), the coefficient histories restart,
+// and convergence/divergence stay relative to the column's first ‖r₀‖, so a
+// restart cannot weaken the termination criteria.
+func (s *scratch) attempt(ctx context.Context, a Operator, m Preconditioner, bs [][]float64, cols []int, opt Options, warm bool) {
+	_, sp := obs.StartSpan(ctx, "solve/attempt")
+	defer sp.End()
+	start := time.Now()
+	results := s.results
+	n := a.Dim()
+	k := len(cols)
 	nk := n * k
 	x := s.vec(&s.x, nk)
-	zero(x)
 	r := s.vec(&s.r, nk)
-	packColumns(bs, r, n, k)
 	z := s.vec(&s.z, nk)
 	p := s.vec(&s.p, nk)
 	ap := s.vec(&s.ap, nk)
-
 	rawNorm := s.vec(&s.rawNorm, k)
 	refNorm := s.vec(&s.refNorm, k)
 	rz := s.vec(&s.rz, k)
@@ -238,85 +315,71 @@ func blockCore(ctx context.Context, a Operator, m Preconditioner, bs [][]float64
 	papv := s.vec(&s.pap, k)
 	alpha := s.vec(&s.alpha, k)
 	beta := s.vec(&s.beta, k)
-	mean := s.vec(&s.mean, k)
 	rn := s.vec(&s.rn, k)
 	dead := s.bools(&s.dead, k)
 
-	results = make([]Result, k)
-	for j := 0; j < k; j++ {
-		results[j].X = s.col(&s.xcols, j, n)
-		zero(results[j].X)
-		results[j].Residuals = s.col(&s.resid, j, 0)[:0]
-		results[j].Alphas = s.col(&s.alphas, j, 0)[:0]
-		results[j].Betas = s.col(&s.betas, j, 0)[:0]
+	packColumns(r, bs, cols, n)
+	if warm {
+		for _, j := range cols {
+			res := &results[j]
+			if finite(res.X) {
+				res.Metrics.MatVecs++
+			} else {
+				zero(res.X) // a non-finite iterate restarts from zero
+			}
+			res.Alphas, res.Betas, res.Reason = res.Alphas[:0], res.Betas[:0], ""
+		}
+		packColumns(x, s.xcols, cols, n)
+		s.applyBlock(a, ap, x, n, k)
+		for i := range r[:nk] {
+			r[i] -= ap[i] // r = b − A·x: resume from the accumulated solution
+		}
+	} else {
+		zero(x)
 	}
 
 	// ‖b‖ before projection, then project and measure again: a right-hand
 	// side that is numerically all null-space component has nothing left to
-	// solve (same criterion as the scalar path).
+	// solve.
 	s.blockNormSq(r, n, k, rawNorm)
-	for j := range rawNorm {
-		rawNorm[j] = math.Sqrt(rawNorm[j])
-	}
-	if opt.ProjectMean {
-		s.blockColSums(r, n, k, mean)
-		for j := range mean {
-			mean[j] /= float64(n)
+	sqrtAll(rawNorm)
+	s.projectedNorms(r, n, k, opt.ProjectMean, rn)
+	active := s.ints(&s.active, 0)
+	keep := s.keep[:0]
+	for pos, j := range cols {
+		res := &results[j]
+		normB := rn[pos]
+		if warm {
+			refNorm[pos] = res.Residuals[0]
+		} else {
+			refNorm[pos] = normB
+			res.Residuals = append(res.Residuals, normB)
 		}
-		s.blockSubMeanNormSq(r, n, k, mean, rn)
-		for j := range rn {
-			rn[j] = math.Sqrt(rn[j])
-		}
-	} else {
-		copy(rn, rawNorm)
-	}
-	active := s.ints(&s.active, 0)[:0]
-	for j := 0; j < k; j++ {
-		normB := rn[j]
-		refNorm[j] = normB
-		results[j].Residuals = append(results[j].Residuals, normB)
-		if normB == 0 || normB <= 1e-13*rawNorm[j] {
-			results[j].Outcome = OutcomeConverged
+		if normB == 0 || normB <= 1e-13*rawNorm[pos] || normB <= opt.Tol*refNorm[pos] {
+			res.Outcome = OutcomeConverged
 			continue
 		}
-		results[j].Outcome = OutcomeMaxIter
+		res.Outcome = OutcomeMaxIter
 		active = append(active, j)
+		keep = append(keep, pos)
 	}
-	s.active = active
-	if len(active) < k && len(active) > 0 {
-		// Some columns converged at iteration 0: compact the block before
-		// the first preconditioner apply.
-		keep := s.keep[:0]
-		for pos, j := range active {
-			_ = pos
-			keep = append(keep, j)
-		}
+	s.active, s.keep = active, keep
+	kA := len(active)
+	if kA < k && kA > 0 {
+		// Some columns are already solved: compact the block before the
+		// first preconditioner apply. Their iterates are already in place.
+		compactPacked(x, n, k, keep)
 		compactPacked(r, n, k, keep)
 		compactFlat(refNorm, keep)
-		s.keep = keep
 	}
-	kA := len(active)
-	setupDone := time.Now()
 	iterStart := time.Time{}
 
 	if kA > 0 {
-		s.applyBlock(m, z, r, n, kA)
-		for _, j := range active {
-			results[j].Metrics.PrecondApplies++
-		}
-		if opt.ProjectMean {
-			s.blockColSums(z, n, kA, mean)
-			for j := 0; j < kA; j++ {
-				mean[j] /= float64(n)
-			}
-			s.blockSubMeanDot(z, r, n, kA, mean, rz)
-		} else {
-			s.blockDots(r, z, n, kA, rz)
-		}
+		s.precondition(m, z, r, n, kA, opt.ProjectMean, rz)
 		copy(p[:n*kA], z[:n*kA])
 		iterStart = time.Now()
 
-		for iter := 0; iter < opt.MaxIter && kA > 0; iter++ {
+		for iter := 0; iter < opt.MaxIter; iter++ {
 			if iter%opt.CheckEvery == 0 && ctx.Err() != nil {
 				for _, j := range s.active {
 					results[j].Outcome = OutcomeCancelled
@@ -336,77 +399,39 @@ func blockCore(ctx context.Context, a Operator, m Preconditioner, bs [][]float64
 			}
 			anyDead := false
 			for pos := 0; pos < kA; pos++ {
-				if pap := papv[pos]; pap <= 0 || math.IsNaN(pap) {
-					j := s.active[pos]
-					results[j].Outcome = OutcomeBreakdown
-					results[j].Reason = fmt.Sprintf("non-positive curvature pᵀAp = %g at iteration %d", pap, iter+1)
-					dead[pos] = true
+				pap := papv[pos]
+				dead[pos] = pap <= 0 || math.IsNaN(pap)
+				if dead[pos] {
+					// Numerical breakdown (or exact solution already reached).
+					res := &results[s.active[pos]]
+					res.Outcome = OutcomeBreakdown
+					res.Reason = fmt.Sprintf("non-positive curvature pᵀAp = %g at iteration %d", pap, iter+1)
 					anyDead = true
-				} else {
-					dead[pos] = false
 				}
 			}
 			if anyDead {
-				kA = s.deflate(results, n, kA, dead, papv)
-				if kA == 0 {
+				if kA = s.deflate(results, n, kA, dead, papv); kA == 0 {
 					break
 				}
 			}
 			for pos := 0; pos < kA; pos++ {
 				alpha[pos] = rz[pos] / papv[pos]
-				j := s.active[pos]
-				results[j].Alphas = append(results[j].Alphas, alpha[pos])
+				res := &results[s.active[pos]]
+				res.Alphas = append(res.Alphas, alpha[pos])
 			}
-			// Fused update: x += α∘p, r −= α∘ap, with the projection sums
-			// (or residual norms) accumulated in the same sweep.
-			if opt.ProjectMean {
-				s.blockUpdateXRSums(x, r, p, ap, alpha, n, kA, mean)
-				for pos := 0; pos < kA; pos++ {
-					mean[pos] /= float64(n)
-				}
-				s.blockSubMeanNormSq(r, n, kA, mean, rn)
-			} else {
-				s.blockUpdateXRNormSq(x, r, p, ap, alpha, n, kA, rn)
-			}
+			s.updateXR(x, r, p, ap, alpha, n, kA, opt.ProjectMean, rn)
 			maxRn := 0.0
 			for pos := 0; pos < kA; pos++ {
-				rn[pos] = math.Sqrt(rn[pos])
 				if rn[pos] > maxRn || math.IsNaN(rn[pos]) {
 					maxRn = rn[pos]
 				}
 			}
 			anyDead = false
 			for pos := 0; pos < kA; pos++ {
-				j := s.active[pos]
-				res := &results[j]
+				res := &results[s.active[pos]]
 				res.Residuals = append(res.Residuals, rn[pos])
-				res.Iterations = iter + 1
-				dead[pos] = false
-				// Guards in the scalar path's severity order.
-				switch v := rn[pos]; {
-				case math.IsNaN(v) || math.IsInf(v, 0):
-					res.Outcome = OutcomeBreakdown
-					res.Reason = fmt.Sprintf("non-finite residual ‖r‖ = %g at iteration %d", v, res.Iterations)
-					dead[pos] = true
-				case v <= opt.Tol*refNorm[pos]:
-					res.Outcome = OutcomeConverged
-					dead[pos] = true
-				case divTol > 0 && v > divTol*refNorm[pos]:
-					res.Outcome = OutcomeDiverged
-					res.Reason = fmt.Sprintf("residual ‖r‖ = %g exceeded %g·‖r₀‖ = %g at iteration %d",
-						v, divTol, divTol*refNorm[pos], res.Iterations)
-					dead[pos] = true
-				default:
-					if w := opt.StagnationWindow; w > 0 && res.Iterations >= w {
-						ref := res.Residuals[len(res.Residuals)-1-w]
-						if v >= (1-stagEps)*ref {
-							res.Outcome = OutcomeStagnated
-							res.Reason = fmt.Sprintf("residual improved < %g relative over the last %d iterations (‖r‖ %g → %g)",
-								stagEps, w, ref, v)
-							dead[pos] = true
-						}
-					}
-				}
+				res.Iterations++
+				dead[pos] = s.guard(res, rn[pos], refNorm[pos], iter+1, opt)
 				anyDead = anyDead || dead[pos]
 			}
 			if opt.Progress != nil {
@@ -416,48 +441,33 @@ func blockCore(ctx context.Context, a Operator, m Preconditioner, bs [][]float64
 				opt.Observer.ObserveIteration(iter+1, maxRn)
 			}
 			if anyDead {
-				kA = s.deflate(results, n, kA, dead)
-				if kA == 0 {
+				if kA = s.deflate(results, n, kA, dead); kA == 0 {
 					break
 				}
 			}
-			s.applyBlock(m, z, r, n, kA)
-			for _, j := range s.active {
-				results[j].Metrics.PrecondApplies++
-			}
-			if opt.ProjectMean {
-				s.blockColSums(z, n, kA, mean)
-				for pos := 0; pos < kA; pos++ {
-					mean[pos] /= float64(n)
-				}
-				s.blockSubMeanDot(z, r, n, kA, mean, rzNew)
-			} else {
-				s.blockDots(r, z, n, kA, rzNew)
-			}
+			s.precondition(m, z, r, n, kA, opt.ProjectMean, rzNew)
 			anyDead = false
 			for pos := 0; pos < kA; pos++ {
-				if v := rzNew[pos]; v <= 0 || math.IsNaN(v) {
-					j := s.active[pos]
-					results[j].Outcome = OutcomeBreakdown
-					results[j].Reason = fmt.Sprintf("non-positive rᵀz = %g at iteration %d", v, results[j].Iterations)
-					dead[pos] = true
+				v := rzNew[pos]
+				dead[pos] = v <= 0 || math.IsNaN(v)
+				if dead[pos] {
+					res := &results[s.active[pos]]
+					res.Outcome = OutcomeBreakdown
+					res.Reason = fmt.Sprintf("non-positive rᵀz = %g at iteration %d", v, res.Iterations)
 					anyDead = true
-				} else {
-					dead[pos] = false
 				}
 			}
 			if anyDead {
-				kA = s.deflate(results, n, kA, dead, rzNew)
-				if kA == 0 {
+				if kA = s.deflate(results, n, kA, dead, rzNew); kA == 0 {
 					break
 				}
 			}
 			for pos := 0; pos < kA; pos++ {
 				beta[pos] = rzNew[pos] / rz[pos]
-				j := s.active[pos]
-				results[j].Betas = append(results[j].Betas, beta[pos])
+				res := &results[s.active[pos]]
+				res.Betas = append(res.Betas, beta[pos])
 			}
-			blockXPBY(p, z, beta, n, kA)
+			s.blockXPBY(p, z, beta, n, kA)
 			copy(rz[:kA], rzNew[:kA])
 		}
 	}
@@ -465,54 +475,89 @@ func blockCore(ctx context.Context, a Operator, m Preconditioner, bs [][]float64
 	// Columns still active (budget exhausted or cancelled) keep their current
 	// iterate.
 	for pos, j := range s.active {
-		xc := results[j].X
-		for v := 0; v < n; v++ {
-			xc[v] = x[v*kA+pos]
-		}
+		unpackColumn(results[j].X, x, kA, pos)
 	}
 
 	now := time.Now()
-	setup := setupDone.Sub(start)
+	total := now.Sub(start)
 	iterDur := time.Duration(0)
 	if !iterStart.IsZero() {
 		iterDur = now.Sub(iterStart)
 	}
-	scratchAllocs := s.allocs - startAllocs
-	for j := 0; j < k; j++ {
+	for _, j := range cols {
 		res := &results[j]
 		res.Converged = res.Outcome == OutcomeConverged
 		res.Metrics.Iterations = res.Iterations
-		if nres := len(res.Residuals); nres > 0 {
-			res.Metrics.FinalResidual = res.Residuals[nres-1]
-		}
-		// Timing and scratch growth are properties of the shared block
-		// traversal; every column reports the block-level values.
-		res.Metrics.SetupTime = setup
-		res.Metrics.IterTime = iterDur
-		res.Metrics.TotalTime = setup + iterDur
-		res.Metrics.ScratchAllocs = scratchAllocs
-		// Hand the (possibly grown) history buffers back for reuse.
-		s.xcols[j] = res.X
-		s.resid[j] = res.Residuals
-		s.alphas[j] = res.Alphas
-		s.betas[j] = res.Betas
+		res.Metrics.FinalResidual = res.Residuals[len(res.Residuals)-1]
+		// Timing is a property of the shared block traversal; every column
+		// adds the attempt-level values.
+		res.Metrics.SetupTime += total - iterDur
+		res.Metrics.IterTime += iterDur
+		res.Metrics.TotalTime += total
 	}
-	return results, nil
+	annotateSolveSpan(sp, results, cols)
+}
+
+// precondition computes z = M·r for the packed width-kA block — projected
+// onto the mean-free subspace when project is set — and rz[j] = r_jᵀz_j.
+func (s *scratch) precondition(m Preconditioner, z, r []float64, n, kA int, project bool, rz []float64) {
+	s.applyBlock(m, z, r, n, kA)
+	for _, j := range s.active {
+		s.results[j].Metrics.PrecondApplies++
+	}
+	if project {
+		mean := s.vec(&s.mean, kA)
+		s.blockColSums(z, n, kA, mean)
+		divide(mean, n)
+		s.blockSubMeanDot(z, r, n, kA, mean, rz)
+	} else {
+		s.blockDots(r, z, n, kA, rz)
+	}
+}
+
+// guard applies the termination tests, in severity order, to a column whose
+// residual norm after iteration iter is rn, and reports whether it stops.
+// The non-finite check comes first: NaN compares false against every
+// threshold, so the convergence and divergence tests would both silently
+// pass over it. A plain method, not a closure: closures capturing the
+// results would heap-allocate and break the Engine's zero-allocation
+// guarantee.
+func (s *scratch) guard(res *Result, rn, refNorm float64, iter int, opt Options) bool {
+	switch {
+	case math.IsNaN(rn) || math.IsInf(rn, 0):
+		res.Outcome = OutcomeBreakdown
+		res.Reason = fmt.Sprintf("non-finite residual ‖r‖ = %g at iteration %d", rn, res.Iterations)
+	case rn <= opt.Tol*refNorm:
+		res.Outcome = OutcomeConverged
+	case opt.DivergenceTol > 0 && rn > opt.DivergenceTol*refNorm:
+		res.Outcome = OutcomeDiverged
+		res.Reason = fmt.Sprintf("residual ‖r‖ = %g exceeded %g·‖r₀‖ = %g at iteration %d",
+			rn, opt.DivergenceTol, opt.DivergenceTol*refNorm, res.Iterations)
+	default:
+		w := opt.StagnationWindow
+		if w <= 0 || iter < w {
+			return false
+		}
+		ref := res.Residuals[len(res.Residuals)-1-w]
+		if rn < (1-opt.StagnationEps)*ref {
+			return false
+		}
+		res.Outcome = OutcomeStagnated
+		res.Reason = fmt.Sprintf("residual improved < %g relative over the last %d iterations (‖r‖ %g → %g)",
+			opt.StagnationEps, w, ref, rn)
+	}
+	return true
 }
 
 // deflate copies every dead column's iterate into its per-column solution
 // buffer and left-compacts the packed block, the persistent per-position
 // state (refNorm, rz) and any extra per-position arrays the caller is about
 // to read (extras), then shrinks the active set. Returns the new width.
-func (s *blockScratch) deflate(results []Result, n, kA int, dead []bool, extras ...[]float64) int {
+func (s *scratch) deflate(results []Result, n, kA int, dead []bool, extras ...[]float64) int {
 	keep := s.keep[:0]
 	for pos := 0; pos < kA; pos++ {
 		if dead[pos] {
-			j := s.active[pos]
-			xc := results[j].X
-			for v := 0; v < n; v++ {
-				xc[v] = s.x[v*kA+pos]
-			}
+			unpackColumn(results[s.active[pos]].X, s.x, kA, pos)
 		} else {
 			keep = append(keep, pos)
 		}
@@ -542,9 +587,28 @@ func (s *blockScratch) deflate(results []Result, n, kA int, dead []bool, extras 
 	return newK
 }
 
+// unpackColumn copies column pos of the packed width-kA block x into dst.
+func unpackColumn(dst, x []float64, kA, pos int) {
+	for v := range dst {
+		dst[v] = x[v*kA+pos]
+	}
+}
+
 // compactFlat left-compacts a per-position array to the kept positions.
 func compactFlat(buf []float64, keep []int) {
 	for idx, pos := range keep {
 		buf[idx] = buf[pos]
+	}
+}
+
+// sleepCtx waits for d and reports whether it elapsed before ctx was done.
+func sleepCtx(ctx context.Context, d time.Duration) bool {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
 	}
 }

@@ -25,7 +25,6 @@ type Engine struct {
 	opt   Options
 	inUse atomic.Bool
 	s     scratch
-	bs    blockScratch // packed buffers for SolveBlock, grown on first use
 }
 
 // NewEngine builds a solve session. A nil preconditioner means plain CG.
@@ -71,7 +70,7 @@ func (e *Engine) Solve(ctx context.Context, b []float64) (Result, error) {
 		return Result{}, err
 	}
 	defer e.release()
-	return pcgCore(ctx, e.a, e.m, b, e.opt, &e.s)
+	return e.s.solve1(ctx, e.a, e.m, b, e.opt)
 }
 
 // SolveWith runs PCG on b with per-call options (overriding the engine
@@ -81,32 +80,23 @@ func (e *Engine) SolveWith(ctx context.Context, b []float64, opt Options) (Resul
 		return Result{}, err
 	}
 	defer e.release()
-	return pcgCore(ctx, e.a, e.m, b, opt, &e.s)
+	return e.s.solve1(ctx, e.a, e.m, b, opt)
 }
 
 // SolveBlock runs block PCG on the columns of bs with per-call options,
 // returning one Result per column (same order). All columns share every
 // matvec and preconditioner traversal; converged columns deflate out of the
-// active block. A single column delegates to the scalar core and is
-// bit-identical to Solve. Like Solve, the returned slices alias engine
-// buffers — each column's X, Residuals, Alphas and Betas are only valid
-// until the next call on the same engine.
-//
-// opt.Recovery is ignored on the block path (k > 1); use per-column scalar
-// solves when restart-on-breakdown is required.
+// active block, and under opt.Recovery the columns that break down restart
+// together as one warm block. Solve is the same solve at width 1. Like
+// Solve, the results alias engine buffers — the returned slice and each
+// column's X, Residuals, Alphas and Betas are only valid until the next call
+// on the same engine.
 func (e *Engine) SolveBlock(ctx context.Context, bs [][]float64, opt Options) ([]Result, error) {
 	if err := e.acquire(); err != nil {
 		return nil, err
 	}
 	defer e.release()
-	if len(bs) == 1 {
-		res, err := pcgCore(ctx, e.a, e.m, bs[0], opt, &e.s)
-		if err != nil {
-			return nil, err
-		}
-		return []Result{res}, nil
-	}
-	return blockCore(ctx, e.a, e.m, bs, opt, &e.bs)
+	return pcgCore(ctx, e.a, e.m, bs, opt, &e.s)
 }
 
 // SolveChebyshev runs Chebyshev iteration on b given spectrum bounds

@@ -57,50 +57,62 @@ func TestParallelMatvecBitwiseEqualsSerial(t *testing.T) {
 	}
 }
 
-// Chunked reductions reassociate the summation, so dot/norm/projectMean agree
-// with the serial reference only to rounding.
+// Chunked reductions reassociate the summation, so the dot/norm/projection
+// kernels agree with the serial reference only to rounding, at width 1 and
+// on a packed block alike; the elementwise direction update is exact.
 func TestParallelKernelsMatchSerial(t *testing.T) {
 	defer forceParallel(8)()
 	rng := rand.New(rand.NewSource(12))
-	n := 3*kernelGrain + 137 // force multiple chunks
-	a := make([]float64, n)
-	b := make([]float64, n)
-	for i := range a {
-		a[i] = rng.NormFloat64()
-		b[i] = rng.NormFloat64()
-	}
-	serialDot := 0.0
-	for i := range a {
-		serialDot += a[i] * b[i]
-	}
-	if d := dot(a, b); math.Abs(d-serialDot) > 1e-9*(1+math.Abs(serialDot)) {
-		t.Errorf("dot: parallel %v vs serial %v", d, serialDot)
-	}
-	serialNorm := 0.0
-	for _, v := range a {
-		serialNorm += v * v
-	}
-	serialNorm = math.Sqrt(serialNorm)
-	if nn := norm2(a); math.Abs(nn-serialNorm) > 1e-9*(1+serialNorm) {
-		t.Errorf("norm2: parallel %v vs serial %v", nn, serialNorm)
-	}
-
-	y := append([]float64(nil), a...)
-	axpy(y, 0.37, b)
-	for i := range y {
-		if want := a[i] + 0.37*b[i]; y[i] != want {
-			t.Fatalf("axpy row %d: %v vs %v", i, y[i], want)
+	n := 3*kernelGrain + 137 // force multiple chunks at every width
+	for _, k := range []int{1, 3} {
+		a := make([]float64, n*k)
+		b := make([]float64, n*k)
+		for i := range a {
+			a[i] = rng.NormFloat64()
+			b[i] = rng.NormFloat64()
 		}
-	}
+		var s scratch
+		dots := make([]float64, k)
+		norms := make([]float64, k)
+		s.blockDots(a, b, n, k, dots)
+		s.blockNormSq(a, n, k, norms)
+		for j := 0; j < k; j++ {
+			serialDot, serialNorm := 0.0, 0.0
+			for v := 0; v < n; v++ {
+				serialDot += a[v*k+j] * b[v*k+j]
+				serialNorm += a[v*k+j] * a[v*k+j]
+			}
+			if math.Abs(dots[j]-serialDot) > 1e-9*(1+math.Abs(serialDot)) {
+				t.Errorf("k=%d col %d dot: chunked %v vs serial %v", k, j, dots[j], serialDot)
+			}
+			if math.Abs(norms[j]-serialNorm) > 1e-9*(1+serialNorm) {
+				t.Errorf("k=%d col %d norm²: chunked %v vs serial %v", k, j, norms[j], serialNorm)
+			}
+		}
 
-	pm := append([]float64(nil), a...)
-	projectMean(pm)
-	s := 0.0
-	for _, v := range pm {
-		s += v
-	}
-	if math.Abs(s/float64(n)) > 1e-12 {
-		t.Errorf("projectMean left mean %v", s/float64(n))
+		beta := make([]float64, k)
+		for j := range beta {
+			beta[j] = 0.37 + float64(j)
+		}
+		p := append([]float64(nil), a...)
+		s.blockXPBY(p, b, beta, n, k)
+		for i := range p {
+			if want := b[i] + beta[i%k]*a[i]; p[i] != want {
+				t.Fatalf("k=%d xpby entry %d: %v vs %v", k, i, p[i], want)
+			}
+		}
+
+		pm := append([]float64(nil), a...)
+		s.projectMean(pm, n, k)
+		for j := 0; j < k; j++ {
+			sum := 0.0
+			for v := 0; v < n; v++ {
+				sum += pm[v*k+j]
+			}
+			if math.Abs(sum/float64(n)) > 1e-12 {
+				t.Errorf("k=%d col %d: projectMean left mean %v", k, j, sum/float64(n))
+			}
+		}
 	}
 }
 

@@ -86,6 +86,34 @@ func TestRecoveryRestartsAfterBreakdown(t *testing.T) {
 	if len(res.Residuals) < res.Iterations {
 		t.Errorf("history %d entries for %d iterations", len(res.Residuals), res.Iterations)
 	}
+
+	// In a k=3 block the NaN lands in column 0 only: that column restarts
+	// (alone, as a warm width-1 block) and converges; the others never
+	// restart.
+	rng := rand.New(rand.NewSource(113))
+	bs := [][]float64{b, meanFreeRHS(rng, g.N()), meanFreeRHS(rng, g.N())}
+	restore() // the deferred restore clears whichever plan is active
+	restore = faultinject.Activate(map[string]faultinject.Spec{
+		faultinject.MatvecNaN: {OnHit: 5, Count: 1},
+	})
+	results, err := BlockPCGCtx(context.Background(), LapOperator(g), nil, bs, opt)
+	if err != nil {
+		t.Fatalf("BlockPCGCtx: %v", err)
+	}
+	for j, res := range results {
+		if !res.Converged {
+			t.Fatalf("column %d: outcome %v reason %q", j, res.Outcome, res.Reason)
+		}
+		if rn := residualNorm(g, res.X, bs[j]); rn > 1e-5 {
+			t.Errorf("column %d: residual after recovery %v", j, rn)
+		}
+		if want := map[bool]int{true: 1, false: 0}[j == 0]; res.Metrics.Restarts != want {
+			t.Errorf("column %d: Restarts = %d, want %d", j, res.Metrics.Restarts, want)
+		}
+		if len(res.Residuals) != res.Iterations+1 {
+			t.Errorf("column %d: %d residual samples for %d iterations", j, len(res.Residuals), res.Iterations)
+		}
+	}
 }
 
 func TestRecoveryGivesUpAfterMaxRestarts(t *testing.T) {

@@ -4,10 +4,15 @@
 // Lanczos connection used to measure condition numbers κ(A, B) throughout
 // the experiments).
 //
-// All iteration loops run on parallel level-1 kernels (see kernels.go) and a
-// parallel Laplacian matvec, thread a context.Context for cancellation, and
-// report per-solve Metrics. The Engine type (engine.go) owns reusable work
-// buffers so repeated solves on one operator allocate nothing.
+// There is one PCG implementation (block.go): it solves k right-hand sides
+// as a packed [n][k] block, and a single vector is the width-1 block, so
+// PCG, PCGCtx, BlockPCGCtx and the Engine solves all run the same iteration
+// on the same level-1 kernels (blockkernels.go) and block-aware operators.
+// Every reduction uses a chunk partition fixed by (n, k), so a solve of any
+// width is bit-identical at any GOMAXPROCS. The loops thread a
+// context.Context for cancellation and report per-column Metrics. The
+// Engine type (engine.go) owns reusable work buffers so repeated solves on
+// one operator allocate nothing.
 //
 // # Numerical guardrails
 //
@@ -18,7 +23,7 @@
 // stagnation guard (no relative progress over a sliding window terminates
 // with OutcomeStagnated). A failed solve carries the tripped guard's
 // explanation in Result.Reason. Options.Recovery adds PETSc-style
-// restart-on-breakdown: after a breakdown/divergence/stagnation the solve
+// restart-on-breakdown: after a breakdown/divergence/stagnation a column
 // restarts from its current iterate (discarding the Krylov space, keeping
 // the solution progress) up to MaxRestarts times.
 //
@@ -140,12 +145,14 @@ func Jacobi(g *graph.Graph) Preconditioner {
 }
 
 // RecoveryPolicy configures restart-on-breakdown. After a recoverable
-// failure (OutcomeBreakdown, OutcomeDiverged, OutcomeStagnated) the solve
+// failure (OutcomeBreakdown, OutcomeDiverged, OutcomeStagnated) a column
 // restarts from its current iterate: the accumulated solution is kept, the
 // Krylov space is discarded, and the residual is recomputed as b − A·x
-// (a non-finite iterate is reset to zero first). Each restart gets a fresh
-// MaxIter budget, so a fully exhausted solve may run up to
-// (1+MaxRestarts)·MaxIter iterations.
+// (a non-finite iterate is reset to zero first). In a block solve the
+// columns that failed recoverably restart together as one warm block once
+// every column's attempt has finished; the others keep their results. Each
+// restart gets a fresh MaxIter budget, so a fully exhausted solve may run up
+// to (1+MaxRestarts)·MaxIter iterations.
 type RecoveryPolicy struct {
 	// MaxRestarts is the number of restarts attempted after recoverable
 	// failures; 0 (the default) disables recovery entirely.
@@ -290,25 +297,6 @@ type Result struct {
 	Alphas, Betas []float64
 }
 
-// scratch owns the work buffers of one solve. A fresh scratch per call gives
-// the historical allocate-per-solve behavior; an Engine keeps one scratch
-// alive so repeated solves reuse every buffer.
-type scratch struct {
-	x, r, z, p, ap       []float64
-	resid, alphas, betas []float64
-	allocs               int
-}
-
-// vec returns *buf resized to n, reusing capacity when possible.
-func (s *scratch) vec(buf *[]float64, n int) []float64 {
-	if cap(*buf) < n {
-		*buf = make([]float64, n)
-		s.allocs++
-	}
-	*buf = (*buf)[:n]
-	return *buf
-}
-
 func zero(x []float64) {
 	for i := range x {
 		x[i] = 0
@@ -340,265 +328,31 @@ func PCG(a Operator, m Preconditioner, b []float64, opt Options) Result {
 // size mismatches instead of panicking.
 func PCGCtx(ctx context.Context, a Operator, m Preconditioner, b []float64, opt Options) (Result, error) {
 	var s scratch
-	return pcgCore(ctx, a, m, b, opt, &s)
+	return s.solve1(ctx, a, m, b, opt)
 }
 
-// pcgCore is the single PCG driver behind PCG, PCGCtx, CG and Engine.Solve:
-// one pcgIter attempt plus the Options.Recovery restart loop. Result slices
-// alias the scratch buffers (except the stitched residual history of a
-// restarted solve, which is freshly allocated). A panic during the solve —
-// including worker panics surfaced by internal/par — is returned as an
-// error carrying the panicking goroutine's stack.
-func pcgCore(ctx context.Context, a Operator, m Preconditioner, b []float64, opt Options, s *scratch) (res Result, err error) {
-	ctx, sp := obs.StartSpan(ctx, "solve/pcg")
-	defer func() {
-		if v := recover(); v != nil {
-			err = fmt.Errorf("solver: panic during solve: %w", par.AsError(v))
-		}
-		annotateSolveSpan(sp, &res)
-		sp.End()
-		if reg := obs.RegistryFrom(ctx); reg != nil {
-			res.Metrics.Publish(reg)
-			publishOutcome(reg, "pcg", res.Outcome)
-		}
-	}()
-	res, err = pcgIter(ctx, a, m, b, opt, s, 0)
-	if err != nil || opt.Recovery.MaxRestarts <= 0 || !recoverable(res.Outcome) {
-		return res, err
+// annotateSolveSpan stamps the termination summary of the columns cols onto
+// a solve span: the full summary for one column, the width and the longest
+// iteration count for a block. The nil-span fast path keeps the
+// disabled-tracing case free of the boxing allocations the Arg calls would
+// otherwise perform.
+func annotateSolveSpan(sp *obs.Span, results []Result, cols []int) {
+	if sp == nil || len(results) == 0 {
+		return
 	}
-	// Restart loop: the rare path, so stitching the residual history and
-	// totals may allocate.
-	refNorm := 0.0
-	if len(res.Residuals) > 0 {
-		refNorm = res.Residuals[0]
+	if len(cols) == 1 {
+		annotateResult(sp, &results[cols[0]])
+		return
 	}
-	history := append([]float64(nil), res.Residuals...)
-	total := res.Metrics
-	backoff := opt.Recovery.Backoff
-	for restart := 1; restart <= opt.Recovery.MaxRestarts; restart++ {
-		if backoff > 0 {
-			t := time.NewTimer(backoff)
-			select {
-			case <-ctx.Done():
-				t.Stop()
-				res.Outcome = OutcomeCancelled
-				res.Converged = false
-				res.Reason = "cancelled during restart backoff after: " + res.Reason
-			case <-t.C:
-			}
-			if res.Outcome == OutcomeCancelled {
-				break
-			}
-			backoff *= 2
-		}
-		attempt, aerr := pcgIter(ctx, a, m, b, opt, s, refNorm)
-		if aerr != nil {
-			return res, aerr
-		}
-		// Drop the restart's ‖r₀‖ sample: it re-measures the same iterate
-		// the previous attempt already recorded.
-		if len(attempt.Residuals) > 1 {
-			history = append(history, attempt.Residuals[1:]...)
-		}
-		total.MatVecs += attempt.Metrics.MatVecs
-		total.PrecondApplies += attempt.Metrics.PrecondApplies
-		total.Iterations += attempt.Metrics.Iterations
-		total.ScratchAllocs += attempt.Metrics.ScratchAllocs
-		total.SetupTime += attempt.Metrics.SetupTime
-		total.IterTime += attempt.Metrics.IterTime
-		total.TotalTime += attempt.Metrics.TotalTime
-		total.Restarts = restart
-		total.FinalResidual = attempt.Metrics.FinalResidual
-		res = attempt
-		res.Metrics = total
-		res.Residuals = history
-		res.Iterations = total.Iterations
-		if !recoverable(res.Outcome) {
-			break
-		}
+	iters := 0
+	for _, j := range cols {
+		iters = max(iters, results[j].Iterations)
 	}
-	return res, nil
+	sp.Arg("k", len(cols))
+	sp.Arg("iterations", iters)
 }
 
-// pcgIter runs one PCG attempt. refNorm > 0 marks a recovery restart: the
-// iterate in s.x is kept (reset to zero only if non-finite), the residual is
-// recomputed as b − A·x, and convergence/divergence stay relative to
-// refNorm — the first attempt's ‖r₀‖ — so a restart cannot weaken the
-// termination criteria.
-func pcgIter(ctx context.Context, a Operator, m Preconditioner, b []float64, opt Options, s *scratch, refNorm float64) (Result, error) {
-	start := time.Now()
-	n := a.Dim()
-	if len(b) != n {
-		return Result{}, fmt.Errorf("solver: rhs length %d vs operator dimension %d: %w", len(b), n, graph.ErrBadDimension)
-	}
-	if m == nil {
-		m = Identity(n)
-	}
-	if m.Dim() != n {
-		return Result{}, fmt.Errorf("solver: preconditioner dimension %d vs operator dimension %d: %w", m.Dim(), n, graph.ErrBadDimension)
-	}
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	if opt.Tol <= 0 {
-		opt.Tol = 1e-8
-	}
-	if opt.MaxIter <= 0 {
-		opt.MaxIter = 10*n + 50
-	}
-	if opt.CheckEvery <= 0 {
-		opt.CheckEvery = 8
-	}
-	divTol := opt.DivergenceTol
-	if divTol == 0 {
-		divTol = 1e8
-	}
-	stagEps := opt.StagnationEps
-	if stagEps <= 0 {
-		stagEps = 1e-3
-	}
-	_, sp := obs.StartSpan(ctx, "solve/attempt")
-	defer sp.End()
-	startAllocs := s.allocs
-	x := s.vec(&s.x, n)
-	r := s.vec(&s.r, n)
-	warm := refNorm > 0
-	if warm && !finite(x) {
-		warm = false // a non-finite iterate restarts from scratch
-	}
-	if warm {
-		a.Apply(r, x) // r = b − A·x: resume from the accumulated solution
-		for i := range r {
-			r[i] = b[i] - r[i]
-		}
-	} else {
-		zero(x)
-		copy(r, b)
-	}
-	rawNorm := norm2(r)
-	if opt.ProjectMean {
-		projectMean(r)
-	}
-	z := s.vec(&s.z, n)
-	p := s.vec(&s.p, n)
-	ap := s.vec(&s.ap, n)
-	res := Result{X: x}
-	if warm {
-		res.Metrics.MatVecs++
-	}
-	res.Residuals = s.resid[:0]
-	res.Alphas = s.alphas[:0]
-	res.Betas = s.betas[:0]
-	normB := norm2(r)
-	res.Residuals = append(res.Residuals, normB)
-	if refNorm <= 0 {
-		refNorm = normB
-	}
-	// A right-hand side that is (numerically) all null-space component has
-	// nothing left to solve after projection.
-	if normB == 0 || normB <= 1e-13*rawNorm || normB <= opt.Tol*refNorm {
-		res.Outcome = OutcomeConverged
-		finishSolve(&res, s, start, time.Time{}, startAllocs)
-		annotateSolveSpan(sp, &res)
-		return res, nil
-	}
-	m.Apply(z, r)
-	res.Metrics.PrecondApplies++
-	if opt.ProjectMean {
-		projectMean(z)
-	}
-	copy(p, z)
-	rz := dot(r, z)
-	res.Outcome = OutcomeMaxIter
-	iterStart := time.Now()
-	for iter := 0; iter < opt.MaxIter; iter++ {
-		if iter%opt.CheckEvery == 0 && ctx.Err() != nil {
-			res.Outcome = OutcomeCancelled
-			break
-		}
-		a.Apply(ap, p)
-		res.Metrics.MatVecs++
-		if faultinject.Enabled() && faultinject.Fire(faultinject.MatvecNaN) {
-			ap[0] = math.NaN()
-		}
-		pap := dot(p, ap)
-		if faultinject.Enabled() && faultinject.Fire(faultinject.ForceBreakdown) {
-			pap = -1
-		}
-		if pap <= 0 || math.IsNaN(pap) {
-			// Numerical breakdown (or exact solution already reached).
-			res.Outcome = OutcomeBreakdown
-			res.Reason = fmt.Sprintf("non-positive curvature pᵀAp = %g at iteration %d", pap, iter+1)
-			break
-		}
-		alpha := rz / pap
-		res.Alphas = append(res.Alphas, alpha)
-		axpy(x, alpha, p)
-		axpy(r, -alpha, ap)
-		if opt.ProjectMean {
-			projectMean(r)
-		}
-		rn := norm2(r)
-		res.Residuals = append(res.Residuals, rn)
-		res.Iterations = iter + 1
-		if opt.Progress != nil {
-			opt.Progress(res.Iterations, rn)
-		}
-		if opt.Observer != nil {
-			opt.Observer.ObserveIteration(res.Iterations, rn)
-		}
-		// Guards, in severity order. The non-finite check comes first: NaN
-		// compares false against every threshold, so the convergence and
-		// divergence tests would both silently pass over it.
-		if math.IsNaN(rn) || math.IsInf(rn, 0) {
-			res.Outcome = OutcomeBreakdown
-			res.Reason = fmt.Sprintf("non-finite residual ‖r‖ = %g at iteration %d", rn, res.Iterations)
-			break
-		}
-		if rn <= opt.Tol*refNorm {
-			res.Outcome = OutcomeConverged
-			break
-		}
-		if divTol > 0 && rn > divTol*refNorm {
-			res.Outcome = OutcomeDiverged
-			res.Reason = fmt.Sprintf("residual ‖r‖ = %g exceeded %g·‖r₀‖ = %g at iteration %d",
-				rn, divTol, divTol*refNorm, res.Iterations)
-			break
-		}
-		if w := opt.StagnationWindow; w > 0 && res.Iterations >= w {
-			ref := res.Residuals[len(res.Residuals)-1-w]
-			if rn >= (1-stagEps)*ref {
-				res.Outcome = OutcomeStagnated
-				res.Reason = fmt.Sprintf("residual improved < %g relative over the last %d iterations (‖r‖ %g → %g)",
-					stagEps, w, ref, rn)
-				break
-			}
-		}
-		m.Apply(z, r)
-		res.Metrics.PrecondApplies++
-		if opt.ProjectMean {
-			projectMean(z)
-		}
-		rzNew := dot(r, z)
-		if rzNew <= 0 || math.IsNaN(rzNew) {
-			res.Outcome = OutcomeBreakdown
-			res.Reason = fmt.Sprintf("non-positive rᵀz = %g at iteration %d", rzNew, res.Iterations)
-			break
-		}
-		beta := rzNew / rz
-		res.Betas = append(res.Betas, beta)
-		xpby(p, z, beta)
-		rz = rzNew
-	}
-	finishSolve(&res, s, start, iterStart, startAllocs)
-	annotateSolveSpan(sp, &res)
-	return res, nil
-}
-
-// annotateSolveSpan stamps the termination summary onto a solve span; the
-// nil-span fast path keeps the disabled-tracing case free of the boxing
-// allocations the Arg calls would otherwise perform.
-func annotateSolveSpan(sp *obs.Span, res *Result) {
+func annotateResult(sp *obs.Span, res *Result) {
 	if sp == nil {
 		return
 	}
@@ -623,26 +377,6 @@ func finite(x []float64) bool {
 		}
 	}
 	return true
-}
-
-// finishSolve stamps the metrics common to every exit path and hands the
-// (possibly grown) history buffers back to the scratch for reuse. A plain
-// function, not a closure: closures capturing the result would heap-allocate
-// and break the Engine's zero-allocation guarantee.
-func finishSolve(res *Result, s *scratch, start, iterStart time.Time, startAllocs int) {
-	now := time.Now()
-	if !iterStart.IsZero() {
-		res.Metrics.IterTime = now.Sub(iterStart)
-	}
-	res.Metrics.TotalTime = now.Sub(start)
-	res.Metrics.SetupTime = res.Metrics.TotalTime - res.Metrics.IterTime
-	res.Metrics.Iterations = res.Iterations
-	if k := len(res.Residuals); k > 0 {
-		res.Metrics.FinalResidual = res.Residuals[k-1]
-	}
-	res.Metrics.ScratchAllocs = s.allocs - startAllocs
-	res.Converged = res.Outcome == OutcomeConverged
-	s.resid, s.alphas, s.betas = res.Residuals, res.Alphas, res.Betas
 }
 
 // Chebyshev runs Chebyshev iteration for A·x = b given bounds
@@ -675,13 +409,17 @@ func ChebyshevCtx(ctx context.Context, a Operator, m Preconditioner, b []float64
 	return chebyshevCore(ctx, a, m, b, lmin, lmax, opt, &s)
 }
 
+// chebyshevCore runs the iteration on width-1 blocks through the same
+// level-1 kernels as PCG. The residual follows the recurrence
+// r −= α·A·p, the fused update PCG uses, rather than being recomputed as
+// b − A·x; both cost one matvec per iteration.
 func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float64, lmin, lmax float64, opt Options, s *scratch) (res Result, err error) {
 	ctx, sp := obs.StartSpan(ctx, "solve/chebyshev")
 	defer func() {
 		if v := recover(); v != nil {
 			err = fmt.Errorf("solver: panic during solve: %w", par.AsError(v))
 		}
-		annotateSolveSpan(sp, &res)
+		annotateResult(sp, &res)
 		sp.End()
 		if reg := obs.RegistryFrom(ctx); reg != nil {
 			res.Metrics.Publish(reg)
@@ -713,23 +451,24 @@ func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float6
 		divTol = 1e8
 	}
 	startAllocs := s.allocs
-	x := s.vec(&s.x, n)
+	x := s.col(&s.xcols, 0, n)
 	zero(x)
 	r := s.vec(&s.r, n)
 	copy(r, b)
-	if opt.ProjectMean {
-		projectMean(r)
-	}
 	z := s.vec(&s.z, n)
 	p := s.vec(&s.p, n)
-	ax := s.vec(&s.ap, n)
+	zero(p) // β = 0 on the first step makes p = z + β·p a copy
+	ap := s.vec(&s.ap, n)
+	alpha := s.vec(&s.alpha, 1)
+	beta := s.vec(&s.beta, 1)
+	rn := s.vec(&s.rn, 1)
+	s.projectedNorms(r, n, 1, opt.ProjectMean, rn)
 	theta := (lmax + lmin) / 2
 	delta := (lmax - lmin) / 2
-	var alpha, beta float64
 	res = Result{X: x}
-	res.Residuals = append(s.resid[:0], norm2(r))
-	res.Alphas, res.Betas = s.alphas[:0], s.betas[:0]
-	normB := res.Residuals[0]
+	res.Residuals = append(s.col(&s.resid, 0, 0), rn[0])
+	res.Alphas, res.Betas = s.col(&s.alphas, 0, 0), s.col(&s.betas, 0, 0)
+	normB := rn[0]
 	res.Outcome = OutcomeMaxIter
 	iterStart := time.Now()
 	for k := 0; k < opt.MaxIter; k++ {
@@ -740,57 +479,59 @@ func chebyshevCore(ctx context.Context, a Operator, m Preconditioner, b []float6
 		m.Apply(z, r)
 		res.Metrics.PrecondApplies++
 		if opt.ProjectMean {
-			projectMean(z)
+			s.projectMean(z, n, 1)
 		}
 		switch k {
 		case 0:
-			copy(p, z)
-			alpha = 1 / theta
+			beta[0] = 0
+			alpha[0] = 1 / theta
 		case 1:
-			beta = 0.5 * (delta * alpha) * (delta * alpha)
-			alpha = 1 / (theta - beta/alpha)
-			xpby(p, z, beta)
+			beta[0] = 0.5 * (delta * alpha[0]) * (delta * alpha[0])
+			alpha[0] = 1 / (theta - beta[0]/alpha[0])
 		default:
-			beta = (delta * alpha / 2) * (delta * alpha / 2)
-			alpha = 1 / (theta - beta/alpha)
-			xpby(p, z, beta)
+			beta[0] = (delta * alpha[0] / 2) * (delta * alpha[0] / 2)
+			alpha[0] = 1 / (theta - beta[0]/alpha[0])
 		}
-		axpy(x, alpha, p)
-		a.Apply(ax, x)
+		s.blockXPBY(p, z, beta, n, 1)
+		a.Apply(ap, p)
 		res.Metrics.MatVecs++
 		if faultinject.Enabled() && faultinject.Fire(faultinject.MatvecNaN) {
-			ax[0] = math.NaN()
+			ap[0] = math.NaN()
 		}
-		sub(r, b, ax)
-		if opt.ProjectMean {
-			projectMean(r)
-		}
-		rn := norm2(r)
-		res.Residuals = append(res.Residuals, rn)
+		s.updateXR(x, r, p, ap, alpha, n, 1, opt.ProjectMean, rn)
+		res.Residuals = append(res.Residuals, rn[0])
 		res.Iterations = k + 1
 		if opt.Progress != nil {
-			opt.Progress(res.Iterations, rn)
+			opt.Progress(res.Iterations, rn[0])
 		}
 		if opt.Observer != nil {
-			opt.Observer.ObserveIteration(res.Iterations, rn)
+			opt.Observer.ObserveIteration(res.Iterations, rn[0])
 		}
-		if math.IsNaN(rn) || math.IsInf(rn, 0) {
+		if v := rn[0]; math.IsNaN(v) || math.IsInf(v, 0) {
 			res.Outcome = OutcomeBreakdown
-			res.Reason = fmt.Sprintf("non-finite residual ‖r‖ = %g at iteration %d", rn, res.Iterations)
+			res.Reason = fmt.Sprintf("non-finite residual ‖r‖ = %g at iteration %d", v, res.Iterations)
 			break
 		}
-		if opt.Tol > 0 && rn <= opt.Tol*normB {
+		if opt.Tol > 0 && rn[0] <= opt.Tol*normB {
 			res.Outcome = OutcomeConverged
 			break
 		}
-		if divTol > 0 && rn > divTol*normB {
+		if divTol > 0 && rn[0] > divTol*normB {
 			res.Outcome = OutcomeDiverged
 			res.Reason = fmt.Sprintf("residual ‖r‖ = %g exceeded %g·‖r₀‖ = %g at iteration %d",
-				rn, divTol, divTol*normB, res.Iterations)
+				rn[0], divTol, divTol*normB, res.Iterations)
 			break
 		}
 	}
-	finishSolve(&res, s, start, iterStart, startAllocs)
+	now := time.Now()
+	res.Metrics.IterTime = now.Sub(iterStart)
+	res.Metrics.TotalTime = now.Sub(start)
+	res.Metrics.SetupTime = res.Metrics.TotalTime - res.Metrics.IterTime
+	res.Metrics.Iterations = res.Iterations
+	res.Metrics.FinalResidual = res.Residuals[len(res.Residuals)-1]
+	res.Metrics.ScratchAllocs = s.allocs - startAllocs
+	res.Converged = res.Outcome == OutcomeConverged
+	s.resid[0], s.alphas[0], s.betas[0] = res.Residuals, res.Alphas, res.Betas
 	return res, nil
 }
 
