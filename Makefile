@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test bench bench-decomp bench-solve bench-json bench-scale bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver selfcheck chaos server-chaos fuzz server-smoke experiments fig6 coverage
+.PHONY: all build test bench bench-decomp bench-solve bench-json bench-scale bench-replay bench-gate replay-smoke scale-smoke vet fmt check race race-solver selfcheck chaos server-chaos fuzz experiments fig6 coverage
 
 all: build test
 
@@ -19,9 +19,9 @@ vet:
 # check is the pre-merge gate: vet, the full suite under the race detector
 # (the parallel solver kernels run with GOMAXPROCS > 1 in tests), a short
 # fuzz pass over the input parsers, the fault-recovery chaos battery, the
-# serving-stack smoke battery, the serving crash/recovery battery, the
-# scenario-replay smoke, and the replay-score regression gate.
-check: vet race fuzz chaos server-smoke server-chaos replay-smoke bench-gate
+# serving crash/recovery battery, the scenario-replay smoke, and the
+# replay-score regression gate.
+check: vet race fuzz chaos server-chaos replay-smoke bench-gate
 
 race:
 	$(GO) test -race ./...
@@ -30,8 +30,9 @@ race:
 race-solver:
 	$(GO) test -race ./internal/solver/... ./internal/par/... ./internal/graph/...
 
+# fmt lists the files gofmt would change and fails when there are any.
 fmt:
-	gofmt -l .
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "$$out"; echo "gofmt -w the files above"; exit 1; fi
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
@@ -47,12 +48,6 @@ bench-decomp:
 # amortization, not parallelism.
 bench-solve:
 	$(GO) test -run '^$$' -bench 'BenchmarkBlockSolve' -benchmem .
-
-# server-smoke: the in-process serving battery — submit/build/solve round
-# trip, cache-hit and single-build invariants, LRU eviction, and per-tenant
-# 429 + Retry-After overload isolation.
-server-smoke:
-	$(GO) run ./cmd/hcd-server -smoke
 
 selfcheck:
 	$(GO) run ./cmd/hcd-selfcheck -rounds 25
@@ -74,13 +69,15 @@ server-chaos:
 # fuzz: short fuzzing passes over the graph input parsers with a
 # write/reparse round-trip oracle, over the stub-aware exact conductance
 # certifier with the brute-force cut enumeration as a differential oracle,
-# and over the binary snapshot decoders with a decode/re-encode round-trip
-# oracle (go fuzzing runs one target at a time).
+# over the binary snapshot decoders with a decode/re-encode round-trip
+# oracle, and over the HTTP solve-request decoder (no panic, JSON replies,
+# 400 for a malformed right-hand side); go fuzzing runs one target at a time.
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzReadEdgeList -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzReadMatrixMarket -fuzztime=10s ./internal/gio
 	$(GO) test -run '^$$' -fuzz FuzzExactConductance -fuzztime=10s ./internal/graph
 	$(GO) test -run '^$$' -fuzz FuzzSnapshotRoundTrip -fuzztime=10s ./internal/gio
+	$(GO) test -run '^$$' -fuzz FuzzSolveRequest -fuzztime=10s ./internal/serve
 
 # bench-json: run the committed benchmark set and write the machine-readable
 # records (ns/op, B/op, allocs/op, host core count) behind BENCH.md:

@@ -2,6 +2,7 @@ package hcd_test
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -13,18 +14,16 @@ func TestSolveChebyshev(t *testing.T) {
 	g := hcd.Grid2D(12, 12, hcd.LognormalWeights(1), 1)
 	rng := rand.New(rand.NewSource(1))
 	b := meanFree(rng, g.N())
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decompose(t, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	p, err := hcd.NewSteinerPreconditioner(d)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, hist, err := hcd.SolveChebyshev(g, b, p, 80)
+	res, err := hcd.SolveChebyshevCtx(context.Background(), g, b, p, hcd.DefaultChebyshevOptions(80))
 	if err != nil {
 		t.Fatal(err)
 	}
+	x, hist := res.X, res.Residuals
 	if hist[len(hist)-1] > hist[0]*1e-5 {
 		t.Errorf("Chebyshev residual %v of initial %v", hist[len(hist)-1], hist[0])
 	}
@@ -35,10 +34,7 @@ func TestSolveChebyshev(t *testing.T) {
 
 func TestCutFractionReported(t *testing.T) {
 	g := hcd.Grid2D(10, 10, nil, 1)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decompose(t, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	rep := hcd.Evaluate(d)
 	if rep.CutFraction <= 0 || rep.CutFraction >= 1 {
 		t.Errorf("CutFraction = %v", rep.CutFraction)
@@ -52,10 +48,13 @@ func TestCutFractionReported(t *testing.T) {
 
 func TestDecomposeSpectralFacade(t *testing.T) {
 	g := hcd.Grid2D(10, 10, hcd.LognormalWeights(1), 2)
-	d, st, err := hcd.DecomposeSpectral(g, hcd.DefaultSpectralCutOptions())
+	opt := hcd.DefaultDecomposeOptions(hcd.MethodSpectral)
+	opt.SkipReport = true
+	res, err := hcd.DecomposeCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, st := res.D, res.SpectralStats
 	if err := hcd.Validate(d); err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +70,7 @@ func TestDecomposeSpectralFacade(t *testing.T) {
 
 func TestBuildLaminarFacade(t *testing.T) {
 	g := hcd.Grid2D(14, 14, hcd.LognormalWeights(1), 3)
-	l, err := hcd.BuildLaminar(g, 4, 6, 1)
+	l, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,10 +98,7 @@ func TestRandomWalkFacade(t *testing.T) {
 	}
 	p := w.Dirac(5)
 	w.Evolve(p, 10)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decompose(t, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	mass := hcd.ClusterMass(d, p)
 	tot := 0.0
 	for _, m := range mass {
@@ -174,7 +170,7 @@ func TestTreePreconditioner(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := hcd.SolvePCG(g, b, p, hcd.DefaultSolveOptions())
+		res, err := hcd.SolvePCGCtx(context.Background(), g, b, p, hcd.DefaultSolveOptions())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -205,12 +201,12 @@ func TestPreconditionerLadder(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions())
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.DefaultHierarchyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
 	it := func(p hcd.Preconditioner) int {
-		res, err := hcd.SolvePCG(g, b, p, hcd.DefaultSolveOptions())
+		res, err := hcd.SolvePCGCtx(context.Background(), g, b, p, hcd.DefaultSolveOptions())
 		if err != nil || !res.Converged {
 			return 1 << 30
 		}
@@ -236,7 +232,7 @@ func TestGridSubgraphPreconditioner(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(5))
 	b := meanFree(rng, g.N())
-	res, err := hcd.SolvePCG(g, b, sub.P, hcd.DefaultSolveOptions())
+	res, err := hcd.SolvePCGCtx(context.Background(), g, b, sub.P, hcd.DefaultSolveOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,7 +256,7 @@ func TestResistanceComputerFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Between(0, 1)
+	r, err := c.BetweenCtx(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +285,7 @@ func TestLoadDecomposeSolvePipeline(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(6))
 	b := meanFree(rng, g.N())
-	res, err := hcd.Solve(g, b)
+	res, err := hcd.SolveCtx(context.Background(), g, b)
 	if err != nil {
 		t.Fatal(err)
 	}

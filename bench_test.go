@@ -37,10 +37,7 @@ func fig6Graph() *hcd.Graph {
 // E1 / Figure 6: Steiner-preconditioned PCG solve.
 func BenchmarkFig6SteinerPCG(b *testing.B) {
 	g := fig6Graph()
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := decompose(b, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	p, err := hcd.NewSteinerPreconditioner(d)
 	if err != nil {
 		b.Fatal(err)
@@ -48,7 +45,7 @@ func BenchmarkFig6SteinerPCG(b *testing.B) {
 	rhs := benchRHS(g.N(), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := hcd.SolvePCG(g, rhs, p, hcd.DefaultSolveOptions())
+		res, err := hcd.SolvePCGCtx(context.Background(), g, rhs, p, hcd.DefaultSolveOptions())
 		if err != nil || !res.Converged {
 			b.Fatal("not converged")
 		}
@@ -67,7 +64,7 @@ func BenchmarkFig6SubgraphPCG(b *testing.B) {
 	rhs := benchRHS(g.N(), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := hcd.SolvePCG(g, rhs, sub.P, hcd.DefaultSolveOptions())
+		res, err := hcd.SolvePCGCtx(context.Background(), g, rhs, sub.P, hcd.DefaultSolveOptions())
 		if err != nil || !res.Converged {
 			b.Fatal("not converged")
 		}
@@ -81,21 +78,17 @@ func BenchmarkRemark1Clustering(b *testing.B) {
 	g := hcd.Grid3D(40, 40, 40, hcd.LognormalWeights(1), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hcd.DecomposeFixedDegree(g, 4, 1); err != nil {
-			b.Fatal(err)
-		}
+		decompose(b, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	}
 }
 
 func BenchmarkRemark1MaxSpanningTree(b *testing.B) {
 	g := hcd.Grid3D(40, 40, 40, hcd.LognormalWeights(1), 1)
-	opt := hcd.DefaultPlanarOptions()
+	opt := hcd.DefaultDecomposeOptions(hcd.MethodPlanar)
 	opt.ExtraFraction = 0 // bare spanning tree, as in the paper's comparison
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hcd.DecomposePlanar(g, opt); err != nil {
-			b.Fatal(err)
-		}
+		decompose(b, g, opt)
 	}
 }
 
@@ -104,9 +97,7 @@ func BenchmarkTreeDecomposition100k(b *testing.B) {
 	g := hcd.RandomTree(100000, hcd.UniformWeights(0.1, 10), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hcd.DecomposeTree(g); err != nil {
-			b.Fatal(err)
-		}
+		decompose(b, g, hcd.DecomposeOptions{Method: hcd.MethodTree})
 	}
 }
 
@@ -115,19 +106,14 @@ func BenchmarkPlanarDecomposition(b *testing.B) {
 	g := hcd.PlanarMesh(100, 100, hcd.LognormalWeights(1), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hcd.DecomposePlanar(g, hcd.DefaultPlanarOptions()); err != nil {
-			b.Fatal(err)
-		}
+		decompose(b, g, hcd.DefaultDecomposeOptions(hcd.MethodPlanar))
 	}
 }
 
 // E5 / Theorem 3.5: support-number measurement cost.
 func BenchmarkTheorem35SupportProbe(b *testing.B) {
 	g := hcd.Grid3D(12, 12, 12, hcd.LognormalWeights(1), 1)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := decompose(b, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	p, err := hcd.NewSteinerPreconditioner(d)
 	if err != nil {
 		b.Fatal(err)
@@ -144,10 +130,7 @@ func BenchmarkTheorem35SupportProbe(b *testing.B) {
 // E6 / Theorem 4.1: eigenpair computation + cluster alignment.
 func BenchmarkSpectralAlignment(b *testing.B) {
 	g := hcd.Grid2D(40, 40, hcd.LognormalWeights(1), 1)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := decompose(b, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, vecs, err := hcd.SmallestEigenpairs(g, 3, 60, 1)
@@ -169,9 +152,7 @@ func benchFixedDegree(b *testing.B, k int) {
 	g := hcd.Grid3D(24, 24, 24, hcd.LognormalWeights(1), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hcd.DecomposeFixedDegree(g, k, 1); err != nil {
-			b.Fatal(err)
-		}
+		decompose(b, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: k, Seed: 1})
 	}
 }
 
@@ -180,7 +161,7 @@ func BenchmarkHierarchyBuild(b *testing.B) {
 	g := hcd.OCT3D(20, 20, 20, hcd.DefaultOCTOptions())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions()); err != nil {
+		if _, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.DefaultHierarchyOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -188,14 +169,14 @@ func BenchmarkHierarchyBuild(b *testing.B) {
 
 func BenchmarkHierarchySolveOCT(b *testing.B) {
 	g := hcd.OCT3D(20, 20, 20, hcd.DefaultOCTOptions())
-	h, err := hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions())
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.DefaultHierarchyOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
 	rhs := benchRHS(g.N(), 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := hcd.SolvePCG(g, rhs, h, hcd.DefaultSolveOptions())
+		res, err := hcd.SolvePCGCtx(context.Background(), g, rhs, h, hcd.DefaultSolveOptions())
 		if err != nil || !res.Converged {
 			b.Fatal("not converged")
 		}
@@ -207,9 +188,7 @@ func BenchmarkMinorFreeDecomposition(b *testing.B) {
 	g := hcd.Grid2D(80, 80, hcd.LognormalWeights(1.5), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hcd.DecomposeMinorFree(g, 1); err != nil {
-			b.Fatal(err)
-		}
+		decompose(b, g, hcd.DefaultDecomposeOptions(hcd.MethodMinorFree))
 	}
 }
 
@@ -254,7 +233,7 @@ func benchPCGCores(b *testing.B, procs int) {
 	m := hcd.JacobiPreconditioner(g)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := hcd.SolvePCG(g, rhs, m, opt)
+		res, err := hcd.SolvePCGCtx(context.Background(), g, rhs, m, opt)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -359,10 +338,7 @@ func BenchmarkBlockSolve(b *testing.B) {
 // results are bit-identical either way.
 func BenchmarkEvaluate(b *testing.B) {
 	g := hcd.Grid3D(24, 24, 24, hcd.LognormalWeights(1), 1)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := decompose(b, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = hcd.Evaluate(d)
@@ -402,12 +378,10 @@ func BenchmarkPlanarLowStretchBase(b *testing.B) { benchPlanarBase(b, hcd.LowStr
 
 func benchPlanarBase(b *testing.B, base hcd.BaseTree) {
 	g := hcd.PlanarMesh(60, 60, hcd.LognormalWeights(1), 1)
-	opt := hcd.DefaultPlanarOptions()
+	opt := hcd.DefaultDecomposeOptions(hcd.MethodPlanar)
 	opt.Base = base
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hcd.DecomposePlanar(g, opt); err != nil {
-			b.Fatal(err)
-		}
+		decompose(b, g, opt)
 	}
 }

@@ -181,10 +181,10 @@ func e2() {
 		return el
 	}
 	tCluster := timeIt("clustering", func() { must(decomposeFixedDegree(g, 4, 1)) })
-	tKruskal := timeIt("kruskal", func() { mst.Kruskal(g, mst.Max) })
+	tKruskal := timeIt("kruskal", func() { must(mst.KruskalCtx(obsCtx, g, mst.Max)) })
 	tPrim := timeIt("prim", func() { mst.Prim(g, mst.Max) })
-	tBoruvka := timeIt("boruvka", func() { mst.Boruvka(g, mst.Max, false) })
-	tBoruvkaP := timeIt("boruvka-par", func() { mst.Boruvka(g, mst.Max, true) })
+	tBoruvka := timeIt("boruvka", func() { must(mst.BoruvkaCtx(obsCtx, g, mst.Max, false)) })
+	tBoruvkaP := timeIt("boruvka-par", func() { must(mst.BoruvkaCtx(obsCtx, g, mst.Max, true)) })
 	t := cli.NewTable("construction", "time", "vs clustering")
 	t.Row("§3.1 clustering (parallel)", tCluster, 1.0)
 	t.Row("Kruskal max-ST", tKruskal, float64(tKruskal)/float64(tCluster))
@@ -305,7 +305,7 @@ func e8() {
 	}
 	for _, side := range sides {
 		g := hcd.OCT3D(side, side, side, hcd.DefaultOCTOptions())
-		h := must(hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions()))
+		h := must(hcd.NewHierarchyCtx(obsCtx, g, hcd.DefaultHierarchyOptions()))
 		res := must(solvePCG(g, cli.MeanFreeRHS(g.N(), 9), h, hcd.DefaultSolveOptions()))
 		t.Row(side, g.N(), h.Depth(), res.Iterations, res.Converged)
 		report(fmt.Sprintf("hierarchy %d³", side), res.Metrics)
@@ -379,7 +379,7 @@ func a5() {
 	sp := must(hcd.NewSteinerPreconditioner(d))
 	sr := must(solvePCG(g, b, sp, hcd.DefaultSolveOptions()))
 	t.Row("steiner (heaviest-edge clusters)", sr.Iterations, sr.Converged)
-	h := must(hcd.NewHierarchy(g, hcd.DefaultHierarchyOptions()))
+	h := must(hcd.NewHierarchyCtx(obsCtx, g, hcd.DefaultHierarchyOptions()))
 	hr := must(solvePCG(g, b, h, hcd.DefaultSolveOptions()))
 	t.Row("steiner hierarchy", hr.Iterations, hr.Converged)
 	fmt.Print(t)
@@ -523,10 +523,8 @@ func a3() {
 	fmt.Println("shape: bigger k → more reduction but worse conductance/condition number.")
 }
 
-// Context-ful wrappers over the one-shot entry points the experiments used
-// to call (hcd.DecomposeFixedDegree and friends are deprecated): every build
-// and solve routes through obsCtx, so -trace/-listen observe the experiment
-// runs too.
+// Shorthands for the experiments' builds and solves: every one routes
+// through obsCtx, so -trace/-listen observe the experiment runs too.
 func solvePCG(g *hcd.Graph, b []float64, m hcd.Preconditioner, opt hcd.SolveOptions) (hcd.SolveResult, error) {
 	return hcd.SolvePCGCtx(obsCtx, g, b, m, opt)
 }

@@ -147,7 +147,7 @@ func runChild(side, shards int) error {
 	hopt := hcd.DefaultHierarchyOptions()
 	hopt.Shards = shards
 	buildStart := time.Now()
-	h, err := hcd.NewHierarchy(g, hopt)
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hopt)
 	if err != nil {
 		return err
 	}

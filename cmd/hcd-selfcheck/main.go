@@ -260,9 +260,8 @@ func init() {
 	log.SetFlags(0)
 }
 
-// The context-ful decomposition entry points, shared by the checks (the
-// one-shot hcd.DecomposeTree / hcd.DecomposeFixedDegree wrappers are
-// deprecated).
+// decomposeTree and decomposeFixedDegree run DecomposeCtx for the checks,
+// which need only the decomposition.
 func decomposeTree(g *hcd.Graph) (*hcd.Decomposition, error) {
 	res, err := hcd.DecomposeCtx(context.Background(), g,
 		hcd.DecomposeOptions{Method: hcd.MethodTree, SkipReport: true})

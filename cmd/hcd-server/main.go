@@ -1,9 +1,9 @@
 // Command hcd-server exposes the hcd solver as a service: submit a graph
 // once, poll its hierarchy build, then run solves against the cached
 // hierarchy on warm engine pools. Tenants are rate-limited with per-tenant
-// token buckets; overload answers 429 with Retry-After. The PR-5
-// diagnostics mux (/metrics, /metrics.json, /debug/vars, /debug/pprof/*) is
-// mounted on the same listener.
+// token buckets; overload answers 429 with Retry-After. The diagnostics mux
+// (/metrics, /metrics.json, /debug/vars, /debug/pprof/*) is mounted on the
+// same listener.
 //
 // Usage:
 //
@@ -13,7 +13,6 @@
 //	hcd-server -addr :8080 -state-dir /var/lib/hcd   # durable handles
 //	hcd-server -addr :8080 -max-timeout 30s -breaker 3
 //	hcd-server -addr :8080 -log-json -log-level info   # JSON access logs
-//	hcd-server -smoke        # in-process smoke battery, exits 0/1
 //
 // With -state-dir, built hierarchies are snapshotted (checksummed binary
 // format + write-ahead manifest) and restored on restart without rebuilding;
@@ -61,7 +60,6 @@ func run() (err error) {
 	batchWindow := flag.Duration("batch-window", 0, "micro-batching window: PCG solves against one handle arriving within this window coalesce into one block solve (0 = off)")
 	batchWidth := flag.Int("batch-width", 16, "max right-hand sides coalesced per batch (fires early when full)")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "grace period for in-flight requests on SIGTERM")
-	smoke := flag.Bool("smoke", false, "run the in-process smoke battery and exit")
 	o := cli.ObsFlags()
 	lg := cli.LogFlags()
 	flag.Parse()
@@ -98,10 +96,6 @@ func run() (err error) {
 		Registry:         o.Registry,
 		Tracer:           o.Tracer,
 		Logger:           logger,
-	}
-
-	if *smoke {
-		return runSmoke()
 	}
 
 	srv := serve.New(cfg)

@@ -5,8 +5,7 @@ package hcd
 // fixed-degree clustering, and the top-down spectral baseline — is reachable
 // through one context-aware entry point, DecomposeCtx, which runs the
 // method's stages under a decomp.Pipeline and reports per-stage build
-// metrics. The per-method facade functions (DecomposeTree, DecomposePlanar,
-// DecomposeFixedDegree, ...) are thin wrappers over this path.
+// metrics.
 
 import (
 	"context"
@@ -23,19 +22,28 @@ import (
 type DecomposeMethod int
 
 const (
-	// MethodTree: Theorem 2.1 on a tree or forest (ρ ≥ 6/5, φ ≥ 1/3).
+	// MethodTree: the Theorem 2.1 decomposition of a tree or forest:
+	// ρ ≥ 6/5 and every closure conductance ≥ 1/3 (measured ≥ 1/2 on
+	// typical weights; see EXPERIMENTS.md E3 on the constant).
 	MethodTree DecomposeMethod = iota
-	// MethodPlanar: the Theorem 2.2 pipeline — sparsify over a max-weight
-	// base tree, strip/cut the core, tree-decompose, rebind to g.
+	// MethodPlanar: the Theorem 2.2 pipeline on a connected graph —
+	// sparsify to a tree-plus-extras subgraph B over a max-weight base
+	// tree, strip/cut/tree-decompose B, and rebind the clustering to g. It
+	// applies to any graph; planarity (or minor-freeness) only affects the
+	// provable constants.
 	MethodPlanar
 	// MethodMinorFree: the Theorem 2.3 variant — the same pipeline over an
 	// AKPW low-stretch base tree.
 	MethodMinorFree
-	// MethodFixedDegree: the Section 3.1 perturb/heaviest-edge/split
-	// clustering (ρ ≥ 2).
+	// MethodFixedDegree: the Section 3.1 clustering — perturb, keep
+	// per-vertex heaviest edges, split the forest into clusters of
+	// ≈ SizeCap. Every cluster has ≥ 2 vertices, so ρ ≥ 2.
 	MethodFixedDegree
-	// MethodSpectral: the recursive sweep-cut baseline
-	// (Kannan–Vempala–Vetta style).
+	// MethodSpectral: the top-down recursive two-way spectral partitioning
+	// baseline (Kannan–Vempala–Vetta style) the paper's introduction
+	// contrasts with its bottom-up constructions: an eigensolve per split
+	// and no reduction-factor guarantee, but direct control of the
+	// conductance target.
 	MethodSpectral
 )
 
@@ -109,8 +117,7 @@ type DecomposeOptions struct {
 	Spectral SpectralCutOptions
 
 	// SkipReport omits the final evaluate stage; DecomposeResult.Report
-	// stays zero. The per-method wrapper functions set it to preserve their
-	// historical cost profile.
+	// stays zero.
 	SkipReport bool
 }
 

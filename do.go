@@ -3,10 +3,10 @@ package hcd
 // The canonical solve entry point. Do executes one SolveRequest — one or
 // many right-hand sides, a named iteration method, a preconditioner given as
 // a spec, a prebuilt value, or a warm Engine session — and returns a
-// SolveResponse with one SolveResult per right-hand side. Every other solve
-// entry point in the package (Solve, SolvePCG, SolvePCGCtx, SolveCtx,
-// SolveChebyshev, SolveChebyshevCtx, SolveResilient) is a thin wrapper over
-// Do, so the CLI tools and the hcd-server handlers share one implementation.
+// SolveResponse with one SolveResult per right-hand side. The
+// single-right-hand-side entry points (SolveCtx, SolvePCGCtx,
+// SolveChebyshevCtx, SolveResilient) are thin wrappers over Do, so the CLI
+// tools and the hcd-server handlers share one implementation.
 
 import (
 	"context"
@@ -193,9 +193,12 @@ type SolveResponse struct {
 // Errors follow the wrapped-sentinel convention: dimension mismatches wrap
 // ErrBadDimension, exhausted ladders wrap ErrNotConverged, a cancelled
 // context surfaces via the per-result OutcomeCancelled (PCG/Chebyshev) or a
-// wrapped context error (resilient). A multi-RHS PCG or Chebyshev request
-// attempts every column even when one fails: the response carries a result
-// per attempted column and the error joins the per-column failures
+// wrapped context error (resilient). Column lengths are checked before any
+// preconditioner is built: a resilient request with a malformed column, or
+// a request with no well-formed column, fails at once with ErrBadDimension.
+// A multi-RHS PCG or Chebyshev request attempts every well-formed column
+// even when another fails: the response carries a result per column (zero
+// for a malformed one) and the error joins the per-column failures
 // (errors.Is still matches the wrapped sentinels through the join).
 func Do(ctx context.Context, g *Graph, req SolveRequest) (*SolveResponse, error) {
 	resp := &SolveResponse{}
@@ -212,6 +215,19 @@ func Do(ctx context.Context, g *Graph, req SolveRequest) (*SolveResponse, error)
 	if method == "" {
 		method = SolveMethodPCG
 	}
+	// Column lengths are checked before any preconditioner is built or any
+	// rung runs. PCG and Chebyshev still attempt the well-formed columns
+	// (each malformed one gets a zero result and joins the error); the
+	// resilient ladder, and a request with no well-formed column, stop here.
+	var dimErrs []error
+	for i, b := range req.B {
+		if len(b) != g.N() {
+			dimErrs = append(dimErrs, fmt.Errorf("rhs %d: length %d vs graph dimension %d: %w", i, len(b), g.N(), ErrBadDimension))
+		}
+	}
+	if len(dimErrs) > 0 && (method == SolveMethodResilient || len(dimErrs) == len(req.B)) {
+		return resp, errors.Join(dimErrs...)
+	}
 	// The resilient ladder opens its own root span per RHS
 	// ("resilient/solve"); wrapping it here would only add a level.
 	if method != SolveMethodResilient {
@@ -225,9 +241,9 @@ func Do(ctx context.Context, g *Graph, req SolveRequest) (*SolveResponse, error)
 	}
 	switch method {
 	case SolveMethodPCG:
-		return doPCG(ctx, g, req, resp)
+		return doPCG(ctx, g, req, resp, dimErrs)
 	case SolveMethodChebyshev:
-		return doChebyshev(ctx, g, req, resp)
+		return doChebyshev(ctx, g, req, resp, dimErrs)
 	case SolveMethodResilient:
 		for _, b := range req.B {
 			res, rep, err := solveResilient(ctx, g, b, req.Resilience)
@@ -243,7 +259,9 @@ func Do(ctx context.Context, g *Graph, req SolveRequest) (*SolveResponse, error)
 	}
 }
 
-func doPCG(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse) (*SolveResponse, error) {
+// doPCG solves the well-formed columns of req; errs holds the malformed
+// columns' errors, which the returned error joins.
+func doPCG(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse, errs []error) (*SolveResponse, error) {
 	m := req.M
 	if m == nil && req.Engine == nil {
 		var err error
@@ -256,21 +274,15 @@ func doPCG(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse)
 	// preconditioner traversal is shared across them, converged columns
 	// deflate out of the active block, and under Options.Recovery the
 	// columns that break down restart together (see solver.BlockPCGCtx). A
-	// malformed column gets a zero-value result and its own error.
+	// malformed column keeps a zero-value result.
 	resp.Results = make([]SolveResult, len(req.B))
-	var errs []error
 	var bs [][]float64
 	var idx []int
 	for i, b := range req.B {
-		if len(b) != g.N() {
-			errs = append(errs, fmt.Errorf("rhs %d: length %d vs graph dimension %d: %w", i, len(b), g.N(), ErrBadDimension))
-			continue
+		if len(b) == g.N() {
+			bs = append(bs, b)
+			idx = append(idx, i)
 		}
-		bs = append(bs, b)
-		idx = append(idx, i)
-	}
-	if len(bs) == 0 {
-		return resp, errors.Join(errs...)
 	}
 	var results []SolveResult
 	var err error
@@ -288,10 +300,13 @@ func doPCG(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse)
 	return resp, errors.Join(append(errs, err)...)
 }
 
-func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse) (*SolveResponse, error) {
+// doChebyshev probes the spectrum on the first well-formed column of req
+// and iterates on every well-formed column; errs holds the malformed
+// columns' errors, which the returned error joins.
+func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveResponse, errs []error) (*SolveResponse, error) {
 	opt := req.Chebyshev
 	if opt.Iters <= 0 {
-		return resp, fmt.Errorf("hcd: ChebyshevOptions.Iters must be positive")
+		return resp, fmt.Errorf("hcd: ChebyshevOptions.Iters must be positive: %w", ErrInvalidInput)
 	}
 	if opt.ProbeIters <= 0 {
 		opt.ProbeIters = 40
@@ -312,12 +327,16 @@ func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveRes
 	}
 	a := solver.LapOperator(g)
 	probeOpt := solver.Options{Tol: 1e-12, MaxIter: opt.ProbeIters, ProjectMean: true}
+	first := 0
+	for len(req.B[first]) != g.N() {
+		first++
+	}
 	var probe SolveResult
 	var err error
 	if req.Engine != nil {
-		probe, err = req.Engine.SolveWith(ctx, req.B[0], probeOpt)
+		probe, err = req.Engine.SolveWith(ctx, req.B[first], probeOpt)
 	} else {
-		probe, err = solver.PCGCtx(ctx, a, m, req.B[0], probeOpt)
+		probe, err = solver.PCGCtx(ctx, a, m, req.B[first], probeOpt)
 	}
 	if err != nil {
 		return resp, err
@@ -333,9 +352,12 @@ func doChebyshev(ctx context.Context, g *Graph, req SolveRequest, resp *SolveRes
 	}
 	resp.Lmin, resp.Lmax, resp.ProbeMetrics = lmin, lmax, probe.Metrics
 	iterOpt := solver.Options{MaxIter: opt.Iters, ProjectMean: true, Tol: opt.Tol, Observer: opt.Observer}
-	var errs []error
 	for i, b := range req.B {
 		var res SolveResult
+		if len(b) != g.N() {
+			resp.Results = append(resp.Results, res)
+			continue
+		}
 		if req.Engine != nil {
 			res, err = req.Engine.SolveChebyshev(ctx, b, lmin*opt.WidenLow, lmax*opt.WidenHigh, iterOpt)
 			res = detachResult(res)

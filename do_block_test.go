@@ -116,4 +116,20 @@ func TestDoMultiRHSPartialFailure(t *testing.T) {
 	if resp.Results[1].Outcome != hcd.OutcomeUnknown {
 		t.Errorf("failed column outcome %s, want unknown", resp.Results[1].Outcome)
 	}
+
+	// Chebyshev probes the spectrum on the first well-formed column, so a
+	// malformed first column does not sink the rest of the request.
+	resp, err = hcd.Do(context.Background(), g, hcd.SolveRequest{
+		B: [][]float64{bad, good1}, Method: hcd.SolveMethodChebyshev,
+		Precond: hcd.PrecondSpec{Kind: hcd.PrecondJacobi}, Chebyshev: hcd.DefaultChebyshevOptions(300),
+	})
+	if !errors.Is(err, hcd.ErrBadDimension) {
+		t.Fatalf("chebyshev: error %v does not wrap ErrBadDimension", err)
+	}
+	if len(resp.Results) != 2 {
+		t.Fatalf("chebyshev: want 2 results, got %d", len(resp.Results))
+	}
+	if r := residual(g, resp.Results[1].X, good1); r > 1e-4 {
+		t.Errorf("chebyshev: good column residual %v", r)
+	}
 }

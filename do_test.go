@@ -111,17 +111,19 @@ func TestDoPrecondSpecs(t *testing.T) {
 	}
 }
 
-// TestSolvePCGDimensionError: the redesigned SolvePCG returns a wrapped
-// ErrBadDimension instead of panicking.
+// TestSolvePCGDimensionError: SolvePCGCtx returns a wrapped ErrBadDimension
+// instead of panicking.
 func TestSolvePCGDimensionError(t *testing.T) {
 	g := hcd.Grid2D(6, 6, nil, 1)
-	_, err := hcd.SolvePCG(g, make([]float64, g.N()+1), hcd.JacobiPreconditioner(g), hcd.DefaultSolveOptions())
+	_, err := hcd.SolvePCGCtx(context.Background(), g, make([]float64, g.N()+1), hcd.JacobiPreconditioner(g), hcd.DefaultSolveOptions())
 	if !errors.Is(err, hcd.ErrBadDimension) {
 		t.Fatalf("got %v, want ErrBadDimension", err)
 	}
 }
 
-// TestDoValidation: empty requests fail with ErrInvalidInput.
+// TestDoValidation: empty requests and bad options fail with
+// ErrInvalidInput; a malformed column fails a resilient request with
+// ErrBadDimension before any rung of the ladder runs.
 func TestDoValidation(t *testing.T) {
 	g := hcd.Grid2D(4, 4, nil, 1)
 	if _, err := hcd.Do(context.Background(), g, hcd.SolveRequest{}); !errors.Is(err, hcd.ErrInvalidInput) {
@@ -134,6 +136,20 @@ func TestDoValidation(t *testing.T) {
 		B: [][]float64{make([]float64, g.N())}, Method: "bogus",
 	}); !errors.Is(err, hcd.ErrInvalidInput) {
 		t.Fatalf("bogus method: %v, want ErrInvalidInput", err)
+	}
+	if _, err := hcd.Do(context.Background(), g, hcd.SolveRequest{
+		B: [][]float64{make([]float64, g.N())}, Method: hcd.SolveMethodChebyshev,
+	}); !errors.Is(err, hcd.ErrInvalidInput) {
+		t.Fatalf("zero Chebyshev iterations: %v, want ErrInvalidInput", err)
+	}
+	resp, err := hcd.Do(context.Background(), g, hcd.SolveRequest{
+		B: [][]float64{make([]float64, g.N()), make([]float64, 2)}, Method: hcd.SolveMethodResilient,
+	})
+	if !errors.Is(err, hcd.ErrBadDimension) || errors.Is(err, hcd.ErrNotConverged) {
+		t.Fatalf("short resilient column: %v, want ErrBadDimension", err)
+	}
+	if len(resp.Resilience) != 0 || len(resp.Results) != 0 {
+		t.Fatalf("resilient ladder ran %d rung reports before rejecting the column", len(resp.Resilience))
 	}
 }
 

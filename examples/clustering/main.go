@@ -50,7 +50,7 @@ func main() {
 
 	// Recursive clustering: the laminar decomposition. Each level clusters
 	// the previous level's quotient graph.
-	lam, err := hcd.BuildLaminar(g, 4, 10, 1)
+	lam, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 10, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

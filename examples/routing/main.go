@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -18,7 +19,7 @@ func main() {
 	g := hcd.PlanarMesh(20, 20, hcd.LognormalWeights(1), 1)
 	fmt.Printf("mesh: n=%d m=%d\n", g.N(), g.M())
 
-	lam, err := hcd.BuildLaminar(g, 4, 2, 1)
+	lam, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 2, 1)
 	if err != nil {
 		log.Fatal(err)
 	}

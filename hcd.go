@@ -16,12 +16,12 @@
 //	p, _ := hcd.NewSteinerPreconditioner(r.D)    // Section 3 preconditioner
 //	res, _ := hcd.SolvePCGCtx(ctx, g, b, p, hcd.DefaultSolveOptions())
 //
-// Every decomposition method is also reachable through the unified
-// context-aware pipeline, which reports per-stage build metrics and honors
-// cancellation:
-//
-//	r, _ := hcd.DecomposeCtx(ctx, g, hcd.DefaultDecomposeOptions(hcd.MethodFixedDegree))
-//	_, _, _ = r.D, r.Report, r.Metrics
+// Every operation has one entry point, and each one that can run long takes
+// a context: DecomposeCtx reaches every decomposition method (reporting
+// per-stage build metrics and honoring cancellation), Do and its
+// single-right-hand-side forms SolveCtx, SolvePCGCtx and SolveChebyshevCtx
+// run every solve, and NewHierarchyCtx and BuildLaminarCtx build the
+// multilevel structures.
 //
 // See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 // paper-vs-measured record.
@@ -70,34 +70,6 @@ const MaxExactConductance = graph.MaxExactConductance
 // reported in Report.Cert and BuildMetrics.Cert.
 type CertStats = graph.CertStats
 
-// DecomposeTree computes the Theorem 2.1 decomposition of a tree or forest:
-// ρ ≥ 6/5 and every closure conductance ≥ 1/3 (measured ≥ 1/2 on typical
-// weights; see EXPERIMENTS.md E3 on the constant).
-//
-// Deprecated: use DecomposeCtx with MethodTree, which adds cancellation and
-// per-stage build metrics.
-func DecomposeTree(g *Graph) (*Decomposition, error) {
-	res, err := DecomposeCtx(context.Background(), g,
-		DecomposeOptions{Method: MethodTree, SkipReport: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.D, nil
-}
-
-// DecomposeTreeParallel is DecomposeTree with the per-bridge case analysis
-// fanned out across cores; results are identical to DecomposeTree.
-//
-// Deprecated: use DecomposeCtx with MethodTree and Parallel: true.
-func DecomposeTreeParallel(g *Graph) (*Decomposition, error) {
-	res, err := DecomposeCtx(context.Background(), g,
-		DecomposeOptions{Method: MethodTree, Parallel: true, SkipReport: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.D, nil
-}
-
 // ClusterStats describes one cluster (size, volume, boundary, conductance).
 type ClusterStats = decomp.ClusterStats
 
@@ -132,30 +104,19 @@ func MergeSingletons(d *Decomposition, minPhi float64) (*Decomposition, int) {
 	return decomp.MergeSingletons(d, minPhi, graph.MaxExactConductance)
 }
 
-// DecomposeFixedDegree computes the Section 3.1 clustering: perturb, keep
-// per-vertex heaviest edges, split the forest into clusters of ≈ sizeCap.
-// Every cluster has ≥ 2 vertices, so ρ ≥ 2.
-//
-// Deprecated: use DecomposeCtx with MethodFixedDegree.
-func DecomposeFixedDegree(g *Graph, sizeCap int, seed int64) (*Decomposition, error) {
-	res, err := DecomposeCtx(context.Background(), g,
-		DecomposeOptions{Method: MethodFixedDegree, SizeCap: sizeCap, Seed: seed, SkipReport: true})
-	if err != nil {
-		return nil, err
-	}
-	return res.D, nil
-}
-
 // BaseTree selects the spanning tree for the sparse-subgraph pipelines.
 type BaseTree = sparsify.BaseTree
 
-// Base tree choices for DecomposePlanar / DecomposeMinorFree.
+// Base tree choices for MethodPlanar and the subgraph preconditioners
+// (MethodMinorFree always uses LowStretchTree).
 const (
 	MaxWeightTree  = sparsify.MaxWeightTree
 	LowStretchTree = sparsify.LowStretchTree
 )
 
-// PlanarOptions configures the Theorem 2.2 pipeline.
+// PlanarOptions configures the sparsified subgraph B of the subgraph
+// preconditioners (the same tree-plus-extras construction the Theorem 2.2
+// pipeline decomposes).
 type PlanarOptions struct {
 	Base BaseTree
 	// ExtraFraction controls the off-tree edges kept in the subgraph B
@@ -169,63 +130,14 @@ func DefaultPlanarOptions() PlanarOptions {
 	return PlanarOptions{Base: MaxWeightTree, ExtraFraction: 0.25, Seed: 1}
 }
 
-// PlanarResult carries the Theorem 2.2 pipeline outputs.
-type PlanarResult struct {
-	D *Decomposition // decomposition of the ORIGINAL graph
-	B *Graph         // sparse subgraph the decomposition was computed on
-	// CoreSize and CutEdges describe the strip/cut phase (|W| and |C|).
-	CoreSize, CutEdges int
-	// AvgStretch is the average edge stretch over the base tree.
-	AvgStretch float64
-}
-
-// DecomposePlanar runs the full Theorem 2.2 pipeline on a connected graph:
-// sparsify to a tree-plus-extras subgraph B, strip/cut/tree-decompose B, and
-// rebind the clustering to g. It applies to any graph; the planarity (or
-// minor-freeness, Theorem 2.3, via LowStretchTree) only affects the
-// provable constants.
-//
-// Deprecated: use DecomposeCtx with MethodPlanar.
-func DecomposePlanar(g *Graph, opt PlanarOptions) (*PlanarResult, error) {
-	res, err := DecomposeCtx(context.Background(), g, DecomposeOptions{
-		Method: MethodPlanar, Base: opt.Base,
-		ExtraFraction: opt.ExtraFraction, Seed: opt.Seed, SkipReport: true,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &PlanarResult{
-		D: res.D, B: res.B,
-		CoreSize: res.CoreSize, CutEdges: res.CutEdges,
-		AvgStretch: res.AvgStretch,
-	}, nil
-}
-
-// DecomposeMinorFree runs the Theorem 2.3 variant: the same pipeline on a
-// low-stretch base tree.
-//
-// Deprecated: use DecomposeCtx with MethodMinorFree.
-func DecomposeMinorFree(g *Graph, seed int64) (*PlanarResult, error) {
-	opt := DefaultDecomposeOptions(MethodMinorFree)
-	opt.Seed = seed
-	opt.SkipReport = true
-	res, err := DecomposeCtx(context.Background(), g, opt)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanarResult{
-		D: res.D, B: res.B,
-		CoreSize: res.CoreSize, CutEdges: res.CutEdges,
-		AvgStretch: res.AvgStretch,
-	}, nil
-}
-
 // Evaluate measures a decomposition: minimum closure conductance φ (exact
 // for clusters of up to MaxExactConductance core vertices, however many
 // stubs their closures carry), reduction factor ρ, per-vertex retention γ,
 // size statistics, and certification work counters.
 func Evaluate(d *Decomposition) Report {
-	return decomp.Evaluate(d, graph.MaxExactConductance)
+	// Only cancellation makes EvaluateCtx fail, and TODO never cancels.
+	rep, _ := decomp.EvaluateCtx(context.TODO(), d, graph.MaxExactConductance)
+	return rep
 }
 
 // Validate checks the partition invariants (coverage, range, connectivity).
@@ -240,34 +152,14 @@ type SpectralCutStats = spectralcut.Stats
 // DefaultSpectralCutOptions targets conductance 0.1.
 func DefaultSpectralCutOptions() SpectralCutOptions { return spectralcut.DefaultOptions() }
 
-// DecomposeSpectral runs the top-down recursive two-way spectral
-// partitioning baseline (Kannan–Vempala–Vetta style) the paper's
-// introduction contrasts with its bottom-up constructions: an eigensolve
-// per split and no reduction-factor guarantee, but direct control of the
-// conductance target.
-//
-// Deprecated: use DecomposeCtx with MethodSpectral.
-func DecomposeSpectral(g *Graph, opt SpectralCutOptions) (*Decomposition, SpectralCutStats, error) {
-	res, err := DecomposeCtx(context.Background(), g,
-		DecomposeOptions{Method: MethodSpectral, Spectral: opt, SkipReport: true})
-	if err != nil {
-		return nil, SpectralCutStats{}, err
-	}
-	return res.D, res.SpectralStats, nil
-}
-
 // LaminarTree is a laminar hierarchy of decompositions with composition,
 // refinement checks, and per-level quality reports.
 type LaminarTree = laminar.Laminar
 
-// BuildLaminar clusters g recursively (Section 3.1 at every level) until
-// the quotient has at most coarse vertices, returning the full hierarchy.
-func BuildLaminar(g *Graph, sizeCap, coarse int, seed int64) (*LaminarTree, error) {
-	return laminar.Build(g, sizeCap, coarse, seed)
-}
-
-// BuildLaminarCtx is BuildLaminar under a context; a cancelled build returns
-// an error wrapping ErrBuildCancelled and the context's error.
+// BuildLaminarCtx clusters g recursively (Section 3.1 at every level) until
+// the quotient has at most coarse vertices, returning the full hierarchy. A
+// cancelled build returns an error wrapping ErrBuildCancelled and the
+// context's error.
 func BuildLaminarCtx(ctx context.Context, g *Graph, sizeCap, coarse int, seed int64) (*LaminarTree, error) {
 	return laminar.BuildCtx(ctx, g, sizeCap, coarse, seed)
 }

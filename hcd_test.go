@@ -1,6 +1,7 @@
 package hcd_test
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -21,6 +22,18 @@ func meanFree(rng *rand.Rand, n int) []float64 {
 	return b
 }
 
+// decompose runs DecomposeCtx without the evaluate stage, for tests and
+// benchmarks that need only the decomposition.
+func decompose(tb testing.TB, g *hcd.Graph, opt hcd.DecomposeOptions) *hcd.Decomposition {
+	tb.Helper()
+	opt.SkipReport = true
+	res, err := hcd.DecomposeCtx(context.Background(), g, opt)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return res.D
+}
+
 func residual(g *hcd.Graph, x, b []float64) float64 {
 	ax := make([]float64, len(x))
 	g.LapMul(ax, x)
@@ -35,10 +48,7 @@ func residual(g *hcd.Graph, x, b []float64) float64 {
 
 func TestQuickstartFlow(t *testing.T) {
 	g := hcd.Grid3D(8, 8, 8, hcd.LognormalWeights(1), 1)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decompose(t, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	if err := hcd.Validate(d); err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +62,7 @@ func TestQuickstartFlow(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(2))
 	b := meanFree(rng, g.N())
-	res, err := hcd.SolvePCG(g, b, p, hcd.DefaultSolveOptions())
+	res, err := hcd.SolvePCGCtx(context.Background(), g, b, p, hcd.DefaultSolveOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +78,7 @@ func TestSolveDefaultPath(t *testing.T) {
 	g := hcd.OCT3D(8, 8, 16, hcd.DefaultOCTOptions())
 	rng := rand.New(rand.NewSource(3))
 	b := meanFree(rng, g.N())
-	res, err := hcd.Solve(g, b)
+	res, err := hcd.SolveCtx(context.Background(), g, b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,14 +92,14 @@ func TestSolveDefaultPath(t *testing.T) {
 
 func TestPlanarPipelineEndToEnd(t *testing.T) {
 	g := hcd.PlanarMesh(16, 16, hcd.LognormalWeights(1), 4)
-	res, err := hcd.DecomposePlanar(g, hcd.DefaultPlanarOptions())
+	res, err := hcd.DecomposeCtx(context.Background(), g, hcd.DefaultDecomposeOptions(hcd.MethodPlanar))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := hcd.Validate(res.D); err != nil {
 		t.Fatal(err)
 	}
-	rep := hcd.Evaluate(res.D)
+	rep := res.Report
 	if rep.Phi <= 0 {
 		t.Errorf("φ = %v", rep.Phi)
 	}
@@ -105,24 +115,23 @@ func TestPlanarPipelineEndToEnd(t *testing.T) {
 
 func TestMinorFreePipeline(t *testing.T) {
 	g := hcd.Grid2D(20, 20, hcd.LognormalWeights(1.5), 5)
-	res, err := hcd.DecomposeMinorFree(g, 7)
+	opt := hcd.DefaultDecomposeOptions(hcd.MethodMinorFree)
+	opt.Seed = 7
+	res, err := hcd.DecomposeCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := hcd.Validate(res.D); err != nil {
 		t.Fatal(err)
 	}
-	if rep := hcd.Evaluate(res.D); rep.Phi <= 0 || rep.Rho <= 1 {
+	if rep := res.Report; rep.Phi <= 0 || rep.Rho <= 1 {
 		t.Errorf("report %+v", rep)
 	}
 }
 
 func TestTreeDecompositionAPI(t *testing.T) {
 	g := hcd.RandomTree(200, hcd.UniformWeights(0.1, 10), 6)
-	d, err := hcd.DecomposeTree(g)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decompose(t, g, hcd.DecomposeOptions{Method: hcd.MethodTree})
 	rep := hcd.Evaluate(d)
 	if rep.Phi < 1.0/3-1e-9 {
 		t.Errorf("tree φ = %v below certified floor", rep.Phi)
@@ -140,10 +149,7 @@ func TestSteinerVsSubgraphFigure6Shape(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	b := meanFree(rng, g.N())
 
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decompose(t, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	steinerP, err := hcd.NewSteinerPreconditioner(d)
 	if err != nil {
 		t.Fatal(err)
@@ -155,8 +161,8 @@ func TestSteinerVsSubgraphFigure6Shape(t *testing.T) {
 		t.Fatal(err)
 	}
 	opt := hcd.DefaultSolveOptions()
-	sres, serr := hcd.SolvePCG(g, b, steinerP, opt)
-	gres, gerr := hcd.SolvePCG(g, b, subRes.P, opt)
+	sres, serr := hcd.SolvePCGCtx(context.Background(), g, b, steinerP, opt)
+	gres, gerr := hcd.SolvePCGCtx(context.Background(), g, b, subRes.P, opt)
 	if serr != nil || gerr != nil {
 		t.Fatalf("solve errors: steiner=%v subgraph=%v", serr, gerr)
 	}
@@ -173,10 +179,7 @@ func TestSteinerVsSubgraphFigure6Shape(t *testing.T) {
 
 func TestMeasureSupportSteiner(t *testing.T) {
 	g := hcd.Grid2D(12, 12, hcd.LognormalWeights(1), 10)
-	d, err := hcd.DecomposeFixedDegree(g, 4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decompose(t, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 2})
 	p, err := hcd.NewSteinerPreconditioner(d)
 	if err != nil {
 		t.Fatal(err)
@@ -201,7 +204,7 @@ func TestMeasureSupportSteiner(t *testing.T) {
 
 func TestLaminarHierarchyLevels(t *testing.T) {
 	g := hcd.Grid3D(10, 10, 10, hcd.LognormalWeights(1), 12)
-	lam, err := hcd.BuildLaminar(g, 4, 50, 1)
+	lam, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 50, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -234,10 +237,7 @@ func TestSpectralAPI(t *testing.T) {
 	if vals[0] <= 0 || vals[0] > vals[1]+1e-12 {
 		t.Errorf("eigenvalues %v", vals)
 	}
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decompose(t, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	a := hcd.Alignment(d, vecs[0])
 	if a < 0 || a > 1+1e-9 {
 		t.Errorf("alignment %v", a)
@@ -267,7 +267,7 @@ func TestNewGraphValidation(t *testing.T) {
 
 func TestLaminarValidation(t *testing.T) {
 	g := hcd.Grid2D(4, 4, nil, 1)
-	if _, err := hcd.BuildLaminar(g, 4, 0, 1); err == nil {
+	if _, err := hcd.BuildLaminarCtx(context.Background(), g, 4, 0, 1); err == nil {
 		t.Error("coarse=0 accepted")
 	}
 }

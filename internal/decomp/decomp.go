@@ -6,11 +6,13 @@
 //
 // Three constructions are provided:
 //
-//   - Tree (Theorem 2.1): 3-critical-vertex clustering of trees and forests.
-//   - SparseCore (the engine of Theorems 2.2/2.3): strip degree-1/degree-2
+//   - TreeCtx (Theorem 2.1): 3-critical-vertex clustering of trees and
+//     forests.
+//   - SparseCoreCtx (the engine of Theorems 2.2/2.3): strip degree-1/degree-2
 //     vertices of a tree-plus-few-edges subgraph to a core W, cut the
-//     lightest edge of every W–W path, and run Tree on the resulting trees.
-//   - FixedDegree (Section 3.1): the embarrassingly parallel
+//     lightest edge of every W–W path, and run TreeCtx on the resulting
+//     trees.
+//   - FixedDegreeCtx (Section 3.1): the embarrassingly parallel
 //     perturb/heaviest-edge/split clustering.
 package decomp
 
@@ -164,7 +166,7 @@ type evalWorker struct {
 	cb   *graph.ClosureBuilder
 }
 
-// Evaluate measures a decomposition. Closure conductances are computed
+// EvaluateCtx measures a decomposition. Closure conductances are computed
 // exactly for clusters of at most exactLimit core vertices (pass
 // graph.MaxExactConductance for the largest exact setting) by the stub-aware
 // certifier — boundary stubs are collapsed into anchor volumes in closed
@@ -176,21 +178,16 @@ type evalWorker struct {
 // closure build per cluster) fan out across cores; the reductions over
 // clusters happen serially in cluster order, so the result is bit-identical
 // to EvaluateSerial.
-func Evaluate(d *Decomposition, exactLimit int) Report {
-	r, _ := evaluate(context.Background(), d, exactLimit, true)
-	return r
-}
-
-// EvaluateCtx is Evaluate with cancellation: the per-cluster measurement
-// loop polls ctx between clusters (the exact-conductance enumerations make
-// an unbounded evaluation the longest non-cancellable stretch of a build
-// otherwise) and returns an ErrBuildCancelled-wrapped error when the
-// context is done.
+//
+// The per-cluster measurement loop polls ctx between clusters (the
+// exact-conductance enumerations make an unbounded evaluation the longest
+// non-cancellable stretch of a build otherwise) and returns an
+// ErrBuildCancelled-wrapped error when the context is done.
 func EvaluateCtx(ctx context.Context, d *Decomposition, exactLimit int) (Report, error) {
 	return evaluate(ctx, d, exactLimit, true)
 }
 
-// EvaluateSerial is the sequential reference implementation of Evaluate.
+// EvaluateSerial is the sequential reference implementation of EvaluateCtx.
 func EvaluateSerial(d *Decomposition, exactLimit int) Report {
 	r, _ := evaluate(context.Background(), d, exactLimit, false)
 	return r

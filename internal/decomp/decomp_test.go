@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,7 +23,10 @@ func evalExact(t *testing.T, d *Decomposition) Report {
 	if err := d.Validate(); err != nil {
 		t.Fatalf("invalid decomposition: %v", err)
 	}
-	r := Evaluate(d, graph.MaxExactConductance)
+	r, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return r
 }
 
@@ -32,7 +36,7 @@ func TestTreeDecompositionTinyTrees(t *testing.T) {
 		if n == 0 {
 			g = graph.MustFromEdges(0, nil)
 		}
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -51,7 +55,7 @@ func TestTreeDecompositionTinyTrees(t *testing.T) {
 func TestTreeDecompositionPaths(t *testing.T) {
 	for _, n := range []int{4, 5, 7, 10, 23, 50, 101} {
 		g := workload.Caterpillar(n, 0, nil, 1)
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,7 +74,7 @@ func TestTreeDecompositionPaths(t *testing.T) {
 
 func TestTreeDecompositionStarsAndCaterpillars(t *testing.T) {
 	star := workload.Caterpillar(1, 50, nil, 1)
-	d, err := Tree(star)
+	d, err := TreeCtx(context.Background(), star)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +82,7 @@ func TestTreeDecompositionStarsAndCaterpillars(t *testing.T) {
 		t.Errorf("star should be one cluster, got %d", d.Count)
 	}
 	cat := workload.Caterpillar(20, 3, workload.UniformWeight(0.1, 10), 7)
-	d, err = Tree(cat)
+	d, err = TreeCtx(context.Background(), cat)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +101,7 @@ func TestTreeDecompositionRandomTreesUnitWeights(t *testing.T) {
 	for it := 0; it < 60; it++ {
 		n := 4 + rng.Intn(150)
 		g := treealg.RandomTree(rng, n, nil)
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,7 +137,7 @@ func TestTreeDecompositionRandomWeights(t *testing.T) {
 		g := treealg.RandomTree(rng, n, func() float64 {
 			return math.Exp(rng.NormFloat64() * 2) // heavy-tailed weights
 		})
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +161,7 @@ func TestTreeDecompositionForest(t *testing.T) {
 		es = append(es, graph.Edge{U: 10, V: i, W: 2})
 	}
 	g := graph.MustFromEdges(18, es)
-	d, err := Tree(g)
+	d, err := TreeCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,21 +182,24 @@ func TestTreeDecompositionForest(t *testing.T) {
 
 func TestTreeRejectsCycles(t *testing.T) {
 	cyc := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}, {U: 0, V: 2, W: 1}})
-	if _, err := Tree(cyc); err == nil {
+	if _, err := TreeCtx(context.Background(), cyc); err == nil {
 		t.Error("cycle accepted")
 	}
 }
 
 func TestFixedDegreeGrid(t *testing.T) {
 	g := workload.Grid3D(8, 8, 8, workload.Lognormal(1), 3)
-	d, err := FixedDegree(g, 4, 1)
+	d, err := FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := Evaluate(d, graph.MaxExactConductance)
+	r, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Rho < 2 {
 		t.Errorf("ρ = %v < 2", r.Rho)
 	}
@@ -213,14 +220,17 @@ func TestFixedDegreeRegular(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := FixedDegree(g, 4, 2)
+	d, err := FixedDegreeCtx(context.Background(), g, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	r := Evaluate(d, graph.MaxExactConductance)
+	r, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.Rho < 2 || r.Singletons != 0 {
 		t.Errorf("ρ=%v singletons=%d", r.Rho, r.Singletons)
 	}
@@ -231,14 +241,14 @@ func TestFixedDegreeRegular(t *testing.T) {
 
 func TestFixedDegreeDeterministic(t *testing.T) {
 	g := workload.Grid2D(15, 15, workload.Lognormal(1), 4)
-	d1, _ := FixedDegree(g, 4, 7)
-	d2, _ := FixedDegree(g, 4, 7)
+	d1, _ := FixedDegreeCtx(context.Background(), g, 4, 7)
+	d2, _ := FixedDegreeCtx(context.Background(), g, 4, 7)
 	for v := range d1.Assign {
 		if d1.Assign[v] != d2.Assign[v] {
 			t.Fatal("FixedDegree not deterministic under fixed seed")
 		}
 	}
-	d3, _ := FixedDegree(g, 4, 8)
+	d3, _ := FixedDegreeCtx(context.Background(), g, 4, 8)
 	same := true
 	for v := range d1.Assign {
 		if d1.Assign[v] != d3.Assign[v] {
@@ -255,24 +265,24 @@ func TestFixedDegreeUniformTies(t *testing.T) {
 	// Unit weights everywhere: only the perturbation breaks ties. The
 	// forest property must still hold (this is ablation A2's premise).
 	g := workload.Grid2D(20, 20, nil, 1)
-	d, err := FixedDegree(g, 4, 5)
+	d, err := FixedDegreeCtx(context.Background(), g, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if r := Evaluate(d, graph.MaxExactConductance); r.Rho < 2 {
+	if r := must(EvaluateCtx(context.Background(), d, graph.MaxExactConductance)); r.Rho < 2 {
 		t.Errorf("ρ = %v", r.Rho)
 	}
 }
 
 func TestFixedDegreeSizeCapValidation(t *testing.T) {
 	g := workload.Grid2D(4, 4, nil, 1)
-	if _, err := FixedDegree(g, 1, 1); err == nil {
+	if _, err := FixedDegreeCtx(context.Background(), g, 1, 1); err == nil {
 		t.Error("sizeCap 1 accepted")
 	}
-	if _, err := FixedDegree(graph.MustFromEdges(0, nil), 4, 1); err != nil {
+	if _, err := FixedDegreeCtx(context.Background(), graph.MustFromEdges(0, nil), 4, 1); err != nil {
 		t.Error("empty graph should succeed")
 	}
 }
@@ -291,14 +301,17 @@ func TestSparseCoreOnTreePlusEdges(t *testing.T) {
 			}
 		}
 		b := graph.MustFromEdges(n, es)
-		d, stats, err := SparseCore(b)
+		d, stats, err := SparseCoreCtx(context.Background(), b)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := d.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		r := Evaluate(d, graph.MaxExactConductance)
+		r, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if r.Phi <= 0 {
 			t.Fatalf("n=%d: φ = %v", n, r.Phi)
 		}
@@ -317,7 +330,7 @@ func TestSparseCoreCycle(t *testing.T) {
 		es = append(es, graph.Edge{U: i, V: (i + 1) % n, W: 1 + float64(i%5)})
 	}
 	g := graph.MustFromEdges(n, es)
-	d, stats, err := SparseCore(g)
+	d, stats, err := SparseCoreCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +340,7 @@ func TestSparseCoreCycle(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if r := Evaluate(d, graph.MaxExactConductance); r.Phi <= 0 {
+	if r := must(EvaluateCtx(context.Background(), d, graph.MaxExactConductance)); r.Phi <= 0 {
 		t.Errorf("φ = %v", r.Phi)
 	}
 }
@@ -335,7 +348,7 @@ func TestSparseCoreCycle(t *testing.T) {
 func TestSparseCoreFallsBackToTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	tree := treealg.RandomTree(rng, 40, nil)
-	d, stats, err := SparseCore(tree)
+	d, stats, err := SparseCoreCtx(context.Background(), tree)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -349,7 +362,7 @@ func TestSparseCoreFallsBackToTree(t *testing.T) {
 
 func TestSparseCoreRejectsDisconnected(t *testing.T) {
 	g := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
-	if _, _, err := SparseCore(g); err == nil {
+	if _, _, err := SparseCoreCtx(context.Background(), g); err == nil {
 		t.Error("disconnected graph accepted")
 	}
 }
@@ -358,7 +371,10 @@ func TestSparseCoreWithMaxSpanningTreeBase(t *testing.T) {
 	// Build B = max-weight spanning tree + 10% heaviest off-tree edges of a
 	// planar mesh, then check the induced decomposition of the mesh itself.
 	g := workload.GridDiag2D(12, 12, workload.Lognormal(1), 5)
-	treeEdges := mst.Kruskal(g, mst.Max)
+	treeEdges, err := mst.KruskalCtx(context.Background(), g, mst.Max)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inTree := make(map[[2]int]bool)
 	key := func(u, v int) [2]int {
 		if u > v {
@@ -381,7 +397,7 @@ func TestSparseCoreWithMaxSpanningTreeBase(t *testing.T) {
 		}
 	}
 	b := graph.MustFromEdges(g.N(), bEdges)
-	d, _, err := SparseCore(b)
+	d, _, err := SparseCoreCtx(context.Background(), b)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -393,8 +409,14 @@ func TestSparseCoreWithMaxSpanningTreeBase(t *testing.T) {
 	if err := da.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	rb := Evaluate(d, graph.MaxExactConductance)
-	ra := Evaluate(da, graph.MaxExactConductance)
+	rb, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ra, err := EvaluateCtx(context.Background(), da, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if ra.Phi <= 0 {
 		t.Errorf("φ in A = %v", ra.Phi)
 	}
@@ -408,7 +430,10 @@ func TestEvaluateGamma(t *testing.T) {
 	// its volume 2 inside → γ = 1/2; vertex 0 keeps everything → γ = 1.
 	g := graph.MustFromEdges(3, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1}})
 	d := &Decomposition{G: g, Assign: []int{0, 0, 1}, Count: 2}
-	r := Evaluate(d, graph.MaxExactConductance)
+	r, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if r.GammaMin != 0 { // singleton {2} has γ = 0
 		t.Errorf("GammaMin = %v", r.GammaMin)
 	}
@@ -427,11 +452,14 @@ func TestAtMostOneGammaViolationPerCluster(t *testing.T) {
 		g := treealg.RandomTree(rng, n, func() float64 {
 			return math.Exp(rng.NormFloat64())
 		})
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := Evaluate(d, graph.MaxExactConductance)
+		rep, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !rep.PhiExact {
 			continue
 		}
@@ -516,17 +544,23 @@ func TestMergeSingletonsImprovesRho(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		n := 50 + rng.Intn(200)
 		g := treealg.RandomTree(rng, n, func() float64 { return 0.2 + rng.Float64()*5 })
-		d, err := Tree(g)
+		d, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		before := Evaluate(d, graph.MaxExactConductance)
+		before, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+		if err != nil {
+			t.Fatal(err)
+		}
 		minPhi := 1.0 / 3
 		md, merges := MergeSingletons(d, minPhi, graph.MaxExactConductance)
 		if err := md.Validate(); err != nil {
 			t.Fatal(err)
 		}
-		after := Evaluate(md, graph.MaxExactConductance)
+		after, err := EvaluateCtx(context.Background(), md, graph.MaxExactConductance)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if after.Rho < before.Rho-1e-12 {
 			t.Fatalf("it=%d: ρ decreased %v -> %v", it, before.Rho, after.Rho)
 		}
@@ -543,7 +577,7 @@ func TestMergeSingletonsImprovesRho(t *testing.T) {
 
 func TestMergeSingletonsNoOpWhenNoSingletons(t *testing.T) {
 	g := workload.Grid2D(8, 8, workload.Lognormal(1), 1)
-	d, err := FixedDegree(g, 4, 1) // guaranteed singleton-free
+	d, err := FixedDegreeCtx(context.Background(), g, 4, 1) // guaranteed singleton-free
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -555,11 +589,14 @@ func TestMergeSingletonsNoOpWhenNoSingletons(t *testing.T) {
 
 func TestDetailsConsistentWithEvaluate(t *testing.T) {
 	g := workload.Grid2D(10, 10, workload.Lognormal(1), 8)
-	d, err := FixedDegree(g, 4, 1)
+	d, err := FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := Evaluate(d, graph.MaxExactConductance)
+	rep, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	det := Details(d, graph.MaxExactConductance)
 	if len(det) != d.Count {
 		t.Fatalf("details for %d clusters, want %d", len(det), d.Count)
@@ -596,11 +633,11 @@ func TestTreeParallelMatchesSequential(t *testing.T) {
 	for it := 0; it < 20; it++ {
 		n := 4 + rng.Intn(400)
 		g := treealg.RandomTree(rng, n, func() float64 { return 0.2 + rng.Float64()*5 })
-		seq, err := Tree(g)
+		seq, err := TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		parl, err := TreeParallel(g)
+		parl, err := TreeParallelCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -620,7 +657,7 @@ func BenchmarkTreeDecomposition(b *testing.B) {
 	g := treealg.RandomTree(rng, 100000, func() float64 { return 0.1 + rng.Float64() })
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Tree(g); err != nil {
+		if _, err := TreeCtx(context.Background(), g); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -630,8 +667,16 @@ func BenchmarkFixedDegreeGrid32(b *testing.B) {
 	g := workload.Grid3D(32, 32, 32, workload.Lognormal(1), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := FixedDegree(g, 4, 1); err != nil {
+		if _, err := FixedDegreeCtx(context.Background(), g, 4, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// must unwraps a (value, error) pair whose error the test does not expect.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -1,6 +1,7 @@
 package decomp
 
 import (
+	"context"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -23,7 +24,7 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	decomps := []*Decomposition{}
 	for trial := 0; trial < 6; trial++ {
 		tree := treealg.RandomTree(rng, 200+rng.Intn(400), func() float64 { return 0.5 + rng.Float64() })
-		d, err := Tree(tree)
+		d, err := TreeCtx(context.Background(), tree)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -31,13 +32,13 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	}
 	for seed := int64(1); seed <= 3; seed++ {
 		g := workload.Grid3D(8, 8, 8, workload.Lognormal(1), seed)
-		d, err := FixedDegree(g, 4, seed)
+		d, err := FixedDegreeCtx(context.Background(), g, 4, seed)
 		if err != nil {
 			t.Fatal(err)
 		}
 		decomps = append(decomps, d)
 		g2 := workload.Grid2D(20, 20, workload.Lognormal(0.5), seed)
-		d2, err := FixedDegree(g2, 3+int(seed), seed)
+		d2, err := FixedDegreeCtx(context.Background(), g2, 3+int(seed), seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,7 +47,10 @@ func TestEvaluateParallelMatchesSerial(t *testing.T) {
 	for i, d := range decomps {
 		for _, limit := range []int{0, graph.MaxExactConductance} {
 			serial := EvaluateSerial(d, limit)
-			parallel := Evaluate(d, limit)
+			parallel, err := EvaluateCtx(context.Background(), d, limit)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if serial != parallel {
 				t.Errorf("instance %d limit %d: parallel %+v != serial %+v", i, limit, parallel, serial)
 			}
@@ -66,7 +70,10 @@ func TestEvaluateCertStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &Decomposition{G: g, Assign: []int{0, 0, 0, 1, 1, 1}, Count: 2}
-	rep := Evaluate(d, graph.MaxExactConductance)
+	rep, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := CertStats{Cores: 2, Stubs: 2, Subsets: 6}
 	if rep.Cert != want {
 		t.Errorf("Cert = %+v, want %+v", rep.Cert, want)
@@ -75,7 +82,7 @@ func TestEvaluateCertStats(t *testing.T) {
 		t.Error("PhiExact should hold when every core is under the limit")
 	}
 	// With exactLimit 0 every cluster falls back to a sweep bound.
-	rep = Evaluate(d, 0)
+	rep = must(EvaluateCtx(context.Background(), d, 0))
 	want = CertStats{Bounds: 2}
 	if rep.Cert != want {
 		t.Errorf("Cert with limit 0 = %+v, want %+v", rep.Cert, want)
@@ -107,7 +114,7 @@ func TestEvaluateParallelManyClusters(t *testing.T) {
 		defer runtime.GOMAXPROCS(old)
 	}
 	g := workload.Grid3D(12, 12, 12, workload.Lognormal(1), 5)
-	d, err := FixedDegree(g, 2, 5)
+	d, err := FixedDegreeCtx(context.Background(), g, 2, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,7 +122,10 @@ func TestEvaluateParallelManyClusters(t *testing.T) {
 		t.Fatalf("want more than %d clusters to exercise the fan-out, got %d", evalGrain, d.Count)
 	}
 	serial := EvaluateSerial(d, graph.MaxExactConductance)
-	parallel := Evaluate(d, graph.MaxExactConductance)
+	parallel, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if serial != parallel {
 		t.Fatalf("parallel %+v != serial %+v", parallel, serial)
 	}

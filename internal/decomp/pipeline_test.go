@@ -146,41 +146,3 @@ func TestBuildersReturnCancelledSentinel(t *testing.T) {
 		t.Errorf("FixedDegreeCtx error %v does not wrap ErrBuildCancelled", err)
 	}
 }
-
-func TestCtxVariantsMatchPlainBuilders(t *testing.T) {
-	ctx := context.Background()
-	tree := workload.Caterpillar(40, 2, workload.Lognormal(1), 7)
-	grid := workload.Grid2D(15, 15, workload.Lognormal(1), 7)
-
-	want, err := Tree(tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := TreeCtx(ctx, tree)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDecomposition(t, "TreeCtx", want, got)
-
-	want, err = FixedDegree(grid, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err = FixedDegreeCtx(ctx, grid, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertSameDecomposition(t, "FixedDegreeCtx", want, got)
-}
-
-func assertSameDecomposition(t *testing.T, label string, want, got *Decomposition) {
-	t.Helper()
-	if got.Count != want.Count {
-		t.Fatalf("%s: count %d != %d", label, got.Count, want.Count)
-	}
-	for v := range want.Assign {
-		if got.Assign[v] != want.Assign[v] {
-			t.Fatalf("%s: vertex %d assigned %d, want %d", label, v, got.Assign[v], want.Assign[v])
-		}
-	}
-}

@@ -52,11 +52,6 @@ const stitchSizeFactor = 4
 // conductance a merge must preserve to be accepted.
 const stitchPhiKeep = 0.5
 
-// FixedDegreeSharded is FixedDegreeShardedCtx without a context.
-func FixedDegreeSharded(g *graph.Graph, sizeCap int, seed int64, shards int) (*Decomposition, ShardStats, error) {
-	return FixedDegreeShardedCtx(context.Background(), g, sizeCap, seed, shards)
-}
-
 // FixedDegreeShardedCtx builds a Section 3.1 fixed-degree decomposition in
 // shards: partition, cluster every shard concurrently, stitch the boundary.
 // With shards ≤ 1 (or a graph too small to split) it is exactly

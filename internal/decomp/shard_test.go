@@ -41,12 +41,12 @@ func sameAssign(a, b *Decomposition) bool {
 // equivalent up to relabeling.
 func TestShardedSingleShardBitIdentical(t *testing.T) {
 	for name, g := range shardTestGraphs(t) {
-		base, err := FixedDegree(g, 4, 7)
+		base, err := FixedDegreeCtx(context.Background(), g, 4, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, shards := range []int{0, 1} {
-			d, stats, err := FixedDegreeSharded(g, 4, 7, shards)
+			d, stats, err := FixedDegreeShardedCtx(context.Background(), g, 4, 7, shards)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -67,14 +67,17 @@ func TestShardedInvariance(t *testing.T) {
 	const sizeCap = 4
 	for name, g := range shardTestGraphs(t) {
 		for _, shards := range []int{1, 2, 8} {
-			d, stats, err := FixedDegreeSharded(g, sizeCap, 7, shards)
+			d, stats, err := FixedDegreeShardedCtx(context.Background(), g, sizeCap, 7, shards)
 			if err != nil {
 				t.Fatalf("%s shards=%d: %v", name, shards, err)
 			}
 			if err := d.Validate(); err != nil {
 				t.Fatalf("%s shards=%d: invalid decomposition: %v", name, shards, err)
 			}
-			r := Evaluate(d, graph.MaxExactConductance)
+			r, err := EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+			if err != nil {
+				t.Fatal(err)
+			}
 			if r.Phi <= 0 {
 				t.Errorf("%s shards=%d: φ = %v", name, shards, r.Phi)
 			}
@@ -107,11 +110,11 @@ func TestShardedInvariance(t *testing.T) {
 // scheduled by internal/par but the output never depends on the schedule.
 func TestShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
 	g := workload.Grid3D(10, 10, 10, workload.Lognormal(1), 5)
-	d1, s1, err := FixedDegreeSharded(g, 4, 9, 8)
+	d1, s1, err := FixedDegreeShardedCtx(context.Background(), g, 4, 9, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d2, s2, err := FixedDegreeSharded(g, 4, 9, 8)
+	d2, s2, err := FixedDegreeShardedCtx(context.Background(), g, 4, 9, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +122,7 @@ func TestShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
 		t.Fatal("sharded decomposition not deterministic across runs")
 	}
 	old := runtime.GOMAXPROCS(4)
-	d3, s3, err := FixedDegreeSharded(g, 4, 9, 8)
+	d3, s3, err := FixedDegreeShardedCtx(context.Background(), g, 4, 9, 8)
 	runtime.GOMAXPROCS(old)
 	if err != nil {
 		t.Fatal(err)
@@ -133,7 +136,7 @@ func TestShardedDeterministicAcrossGOMAXPROCS(t *testing.T) {
 // to the single-pass construction, and shard counts near n still validate.
 func TestShardedDegenerateCounts(t *testing.T) {
 	g := workload.Grid2D(5, 5, nil, 1)
-	d, stats, err := FixedDegreeSharded(g, 4, 1, 100)
+	d, stats, err := FixedDegreeShardedCtx(context.Background(), g, 4, 1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +146,7 @@ func TestShardedDegenerateCounts(t *testing.T) {
 	if err := d.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	d, stats, err = FixedDegreeSharded(g, 4, 1, 12)
+	d, stats, err = FixedDegreeShardedCtx(context.Background(), g, 4, 1, 12)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +166,7 @@ func TestShardedDegenerateCounts(t *testing.T) {
 func TestShardedStitchRepairsStar(t *testing.T) {
 	const sizeCap = 4
 	g := workload.Caterpillar(1, 20, nil, 1) // hub 0 with 20 leaves
-	d, stats, err := FixedDegreeSharded(g, sizeCap, 7, 4)
+	d, stats, err := FixedDegreeShardedCtx(context.Background(), g, sizeCap, 7, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,16 +199,22 @@ func TestShardedStitchRepairsStar(t *testing.T) {
 	// do: the sharded build must not leave more singletons than the stitch
 	// explicitly rejected.
 	gm := workload.Grid3D(12, 12, 12, workload.Lognormal(1), 3)
-	base, err := FixedDegree(gm, sizeCap, 7)
+	base, err := FixedDegreeCtx(context.Background(), gm, sizeCap, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb := Evaluate(base, graph.MaxExactConductance)
-	dm, ms, err := FixedDegreeSharded(gm, sizeCap, 7, 8)
+	rb, err := EvaluateCtx(context.Background(), base, graph.MaxExactConductance)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rm := Evaluate(dm, graph.MaxExactConductance)
+	dm, ms, err := FixedDegreeShardedCtx(context.Background(), gm, sizeCap, 7, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rm, err := EvaluateCtx(context.Background(), dm, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if rm.Singletons > rb.Singletons+ms.Rejected {
 		t.Errorf("singletons after stitch = %d, want ≤ base %d + rejected %d",
 			rm.Singletons, rb.Singletons, ms.Rejected)

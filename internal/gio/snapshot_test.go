@@ -74,7 +74,7 @@ func TestHierarchySnapshotRoundTrip(t *testing.T) {
 	g := testGraph(t, 800, 42)
 	opt := hierarchy.DefaultOptions()
 	opt.DirectLimit = 50
-	h, err := hierarchy.New(g, opt)
+	h, err := hierarchy.NewCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatalf("build: %v", err)
 	}
@@ -160,7 +160,7 @@ func TestHierarchySnapshotPartialRecovery(t *testing.T) {
 	g := testGraph(t, 400, 5)
 	opt := hierarchy.DefaultOptions()
 	opt.DirectLimit = 40
-	h, err := hierarchy.New(g, opt)
+	h, err := hierarchy.NewCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		g := testGraph(f, 120, 11)
 		opt := hierarchy.DefaultOptions()
 		opt.DirectLimit = 20
-		if h, err := hierarchy.New(g, opt); err == nil {
+		if h, err := hierarchy.NewCtx(context.Background(), g, opt); err == nil {
 			var buf bytes.Buffer
 			if err := WriteHierarchySnapshot(&buf, g, h); err != nil {
 				f.Fatal(err)

@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"runtime"
@@ -16,7 +17,7 @@ func blockApplyFixture(t *testing.T, smooth int) (*Hierarchy, int) {
 	opt := DefaultOptions()
 	opt.DirectLimit = 60
 	opt.Smooth = smooth
-	h, err := New(g, opt)
+	h, err := NewCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

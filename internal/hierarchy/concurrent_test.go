@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -14,7 +15,7 @@ import (
 // caught the original bug where apply scratch lived on the Level structs.
 func TestConcurrentApplyRace(t *testing.T) {
 	g := workload.Grid3D(10, 10, 10, workload.Lognormal(1), 1)
-	h, err := New(g, DefaultOptions())
+	h, err := NewCtx(context.Background(), g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,15 +72,10 @@ type Hierarchy struct {
 	coarseMu sync.Mutex
 }
 
-// New builds the hierarchy for g.
-func New(g *graph.Graph, opt Options) (*Hierarchy, error) {
-	return NewCtx(context.Background(), g, opt)
-}
-
-// NewCtx is New under a context: the per-level clustering polls cancellation
-// and the level loop checks once per level, so a cancelled setup returns an
-// error wrapping decomp.ErrBuildCancelled promptly (the final dense coarse
-// factorization runs to completion once reached).
+// NewCtx builds the hierarchy for g. The per-level clustering polls
+// cancellation and the level loop checks once per level, so a cancelled
+// setup returns an error wrapping decomp.ErrBuildCancelled promptly (the
+// final dense coarse factorization runs to completion once reached).
 //
 // A panic during setup — including worker panics surfaced by internal/par —
 // is recovered and returned as an error. A clustering that produces no

@@ -1,6 +1,7 @@
 package hierarchy
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,7 +30,7 @@ func meanFree(rng *rand.Rand, n int) []float64 {
 
 func TestHierarchyBuilds(t *testing.T) {
 	g := workload.Grid3D(10, 10, 10, workload.Lognormal(1), 1)
-	h, err := New(g, DefaultOptions())
+	h, err := NewCtx(context.Background(), g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestHierarchyApplyIsSymmetric(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Smooth = smooth
 		opt.DirectLimit = 20
-		h, err := New(g, opt)
+		h, err := NewCtx(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -89,12 +90,15 @@ func TestHierarchyPCGConvergesOCT(t *testing.T) {
 		opt := DefaultOptions()
 		opt.Smooth = smooth
 		opt.DirectLimit = 100
-		h, err := New(g, opt)
+		h, err := NewCtx(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b := meanFree(rng, g.N())
-		res := solver.PCG(solver.LapOperator(g), h, b, solver.DefaultOptions())
+		res, err := solver.PCGCtx(context.Background(), solver.LapOperator(g), h, b, solver.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !res.Converged {
 			t.Fatalf("smooth=%d: multilevel PCG did not converge in %d iters", smooth, res.Iterations)
 		}
@@ -110,12 +114,15 @@ func TestHierarchyIterationsNearlyFlat(t *testing.T) {
 		g := workload.OCT3D(side, side, side, workload.OCTOptions{Layers: 3, Contrast: 50, NoiseSigma: 1, Seed: 5})
 		opt := DefaultOptions()
 		opt.DirectLimit = 200
-		h, err := New(g, opt)
+		h, err := NewCtx(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
 		b := meanFree(rng, g.N())
-		res := solver.PCG(solver.LapOperator(g), h, b, solver.DefaultOptions())
+		res, err := solver.PCGCtx(context.Background(), solver.LapOperator(g), h, b, solver.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !res.Converged {
 			t.Fatalf("side=%d did not converge", side)
 		}
@@ -131,7 +138,7 @@ func TestHierarchySmallGraphDirect(t *testing.T) {
 	g := workload.Grid2D(5, 5, nil, 1)
 	opt := DefaultOptions()
 	opt.DirectLimit = 100 // graph smaller than limit: zero levels
-	h, err := New(g, opt)
+	h, err := NewCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,7 +171,7 @@ func TestHierarchyDisconnectedGraph(t *testing.T) {
 	g := mustGraph(2*a.N(), edges)
 	opt := DefaultOptions()
 	opt.DirectLimit = 30
-	h, err := New(g, opt)
+	h, err := NewCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +187,10 @@ func TestHierarchyDisconnectedGraph(t *testing.T) {
 			b[comp*a.N()+v] -= s / float64(a.N())
 		}
 	}
-	res := solver.PCG(solver.LapOperator(g), h, b, solver.DefaultOptions())
+	res, err := solver.PCGCtx(context.Background(), solver.LapOperator(g), h, b, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Converged {
 		t.Fatalf("disconnected solve did not converge (%d iters)", res.Iterations)
 	}
@@ -197,7 +207,7 @@ func TestHierarchyOptionsValidation(t *testing.T) {
 	g := workload.Grid2D(4, 4, nil, 1)
 	opt := DefaultOptions()
 	opt.SizeCap = 1
-	if _, err := New(g, opt); err == nil {
+	if _, err := NewCtx(context.Background(), g, opt); err == nil {
 		t.Error("SizeCap 1 accepted")
 	}
 }
@@ -212,7 +222,7 @@ func dot(a, b []float64) float64 {
 
 func BenchmarkHierarchyApply(b *testing.B) {
 	g := workload.Grid3D(20, 20, 20, workload.Lognormal(1), 1)
-	h, err := New(g, DefaultOptions())
+	h, err := NewCtx(context.Background(), g, DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -227,7 +237,7 @@ func BenchmarkHierarchyApply(b *testing.B) {
 
 func BenchmarkHierarchyPCGSolve(b *testing.B) {
 	g := workload.OCT3D(16, 16, 16, workload.DefaultOCTOptions())
-	h, err := New(g, DefaultOptions())
+	h, err := NewCtx(context.Background(), g, DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -235,6 +245,8 @@ func BenchmarkHierarchyPCGSolve(b *testing.B) {
 	rhs := meanFree(rng, g.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		solver.PCG(solver.LapOperator(g), h, rhs, solver.DefaultOptions())
+		if _, err := solver.PCGCtx(context.Background(), solver.LapOperator(g), h, rhs, solver.DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -20,14 +20,10 @@ type Laminar struct {
 	Levels []*decomp.Decomposition
 }
 
-// Build clusters g recursively with the Section 3.1 algorithm until the
+// BuildCtx clusters g recursively with the Section 3.1 algorithm until the
 // quotient has at most coarse vertices (or no further reduction happens).
-func Build(g *graph.Graph, sizeCap, coarse int, seed int64) (*Laminar, error) {
-	return BuildCtx(context.Background(), g, sizeCap, coarse, seed)
-}
-
-// BuildCtx is Build under a context, checked once per level on top of the
-// per-level clustering's own polling; cancellation returns an error wrapping
+// The context is checked once per level on top of the per-level clustering's
+// own polling; cancellation returns an error wrapping
 // decomp.ErrBuildCancelled.
 func BuildCtx(ctx context.Context, g *graph.Graph, sizeCap, coarse int, seed int64) (*Laminar, error) {
 	if coarse < 1 {
@@ -136,7 +132,7 @@ func (l *Laminar) LevelReport(depth int, exactLimit int) (decomp.Report, error) 
 	if depth < 0 || depth >= len(l.Levels) {
 		return decomp.Report{}, fmt.Errorf("laminar: depth %d out of range", depth)
 	}
-	return decomp.Evaluate(l.Levels[depth], exactLimit), nil
+	return decomp.EvaluateCtx(context.TODO(), l.Levels[depth], exactLimit)
 }
 
 // TotalReduction returns n / (size of the final quotient).

@@ -1,6 +1,7 @@
 package laminar
 
 import (
+	"context"
 	"testing"
 
 	"hcd/internal/graph"
@@ -9,7 +10,7 @@ import (
 
 func TestBuildAndSizes(t *testing.T) {
 	g := workload.Grid3D(8, 8, 8, workload.Lognormal(1), 1)
-	l, err := Build(g, 4, 10, 1)
+	l, err := BuildCtx(context.Background(), g, 4, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestBuildAndSizes(t *testing.T) {
 
 func TestComposedDecompositionsValid(t *testing.T) {
 	g := workload.Grid2D(16, 16, workload.Lognormal(1), 2)
-	l, err := Build(g, 4, 8, 1)
+	l, err := BuildCtx(context.Background(), g, 4, 8, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestComposedDecompositionsValid(t *testing.T) {
 
 func TestRefinementProperty(t *testing.T) {
 	g := workload.Grid2D(14, 14, workload.Lognormal(1), 3)
-	l, err := Build(g, 3, 6, 2)
+	l, err := BuildCtx(context.Background(), g, 3, 6, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +94,7 @@ func countDistinct(xs []int) int {
 
 func TestLevelReports(t *testing.T) {
 	g := workload.Grid2D(12, 12, workload.Lognormal(1), 5)
-	l, err := Build(g, 4, 6, 1)
+	l, err := BuildCtx(context.Background(), g, 4, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +117,10 @@ func TestLevelReports(t *testing.T) {
 
 func TestBuildValidation(t *testing.T) {
 	g := workload.Grid2D(4, 4, nil, 1)
-	if _, err := Build(g, 4, 0, 1); err == nil {
+	if _, err := BuildCtx(context.Background(), g, 4, 0, 1); err == nil {
 		t.Error("coarse 0 accepted")
 	}
-	l, err := Build(g, 4, 100, 1) // already small: zero levels
+	l, err := BuildCtx(context.Background(), g, 4, 100, 1) // already small: zero levels
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +136,7 @@ func BenchmarkBuildLaminarGrid(b *testing.B) {
 	g := workload.Grid3D(20, 20, 20, workload.Lognormal(1), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Build(g, 4, 50, 1); err != nil {
+		if _, err := BuildCtx(context.Background(), g, 4, 50, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

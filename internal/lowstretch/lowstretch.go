@@ -19,19 +19,13 @@ import (
 	"hcd/internal/graph"
 )
 
-// AKPW returns the edges of a spanning forest of g with low average stretch.
-// The algorithm processes edges in increasing resistance classes; in each
-// round it grows low-expansion BFS balls over the contracted cluster graph,
-// adds the BFS tree edges to the forest, and contracts. The rng seed only
-// affects ball-growing start order.
-func AKPW(g *graph.Graph, seed int64) []graph.Edge {
-	out, _ := AKPWCtx(context.Background(), g, seed)
-	return out
-}
-
-// AKPWCtx is AKPW under a context, polling cancellation once per
-// ball-growing round (O(log n) rounds, each one pass over the active
-// edges). Results are identical to AKPW.
+// AKPWCtx returns the edges of a spanning forest of g with low average
+// stretch. The algorithm processes edges in increasing resistance classes;
+// in each round it grows low-expansion BFS balls over the contracted
+// cluster graph, adds the BFS tree edges to the forest, and contracts. The
+// rng seed only affects ball-growing start order. Cancellation is polled
+// once per ball-growing round (O(log n) rounds, each one pass over the
+// active edges).
 func AKPWCtx(ctx context.Context, g *graph.Graph, seed int64) ([]graph.Edge, error) {
 	n := g.N()
 	if n == 0 {

@@ -1,6 +1,7 @@
 package lowstretch
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -22,7 +23,10 @@ func TestAKPWSpanningTreeOnConnected(t *testing.T) {
 		"singleEdge": graph.MustFromEdges(2, []graph.Edge{{U: 0, V: 1, W: 3}}),
 	}
 	for name, g := range cases {
-		edges := AKPW(g, 7)
+		edges, err := AKPWCtx(context.Background(), g, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(edges) != g.N()-1 {
 			t.Fatalf("%s: %d tree edges for n=%d", name, len(edges), g.N())
 		}
@@ -35,14 +39,17 @@ func TestAKPWSpanningTreeOnConnected(t *testing.T) {
 
 func TestAKPWDisconnectedAndTrivial(t *testing.T) {
 	g := graph.MustFromEdges(5, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 2}})
-	edges := AKPW(g, 1)
+	edges, err := AKPWCtx(context.Background(), g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(edges) != 2 {
 		t.Fatalf("forest edges = %d, want 2", len(edges))
 	}
-	if AKPW(graph.MustFromEdges(0, nil), 1) != nil {
+	if must(AKPWCtx(context.Background(), graph.MustFromEdges(0, nil), 1)) != nil {
 		t.Error("empty graph should yield nil")
 	}
-	if AKPW(graph.MustFromEdges(3, nil), 1) != nil {
+	if must(AKPWCtx(context.Background(), graph.MustFromEdges(3, nil), 1)) != nil {
 		t.Error("edgeless graph should yield nil")
 	}
 }
@@ -114,7 +121,10 @@ func TestTreeMetricAgainstBruteForce(t *testing.T) {
 
 func TestStretchesTreeEdgesAreOne(t *testing.T) {
 	g := workload.Grid2D(8, 8, workload.Lognormal(1), 9)
-	tree := AKPW(g, 1)
+	tree, err := AKPWCtx(context.Background(), g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
 	inTree := make(map[[2]int]bool)
 	for _, e := range tree {
 		u, v := e.U, e.V
@@ -152,11 +162,11 @@ func TestAKPWStretchIsReasonable(t *testing.T) {
 	// Compare against the max-weight spanning tree: AKPW should not be
 	// drastically worse on a noisy grid (usually it is better).
 	g := workload.Grid2D(25, 25, workload.Lognormal(2), 11)
-	_, avgAKPW, err := Stretches(g, AKPW(g, 3))
+	_, avgAKPW, err := Stretches(g, must(AKPWCtx(context.Background(), g, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, avgMST, err := Stretches(g, mst.Kruskal(g, mst.Max))
+	_, avgMST, err := Stretches(g, must(mst.KruskalCtx(context.Background(), g, mst.Max)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +194,10 @@ func TestTotalStretchBoundsTreeSupport(t *testing.T) {
 			}
 		}
 		g := graph.MustFromEdges(n, es)
-		tree := mst.Kruskal(g, mst.Max)
+		tree, err := mst.KruskalCtx(context.Background(), g, mst.Max)
+		if err != nil {
+			t.Fatal(err)
+		}
 		stretches, _, err := Stretches(g, tree)
 		if err != nil {
 			t.Fatal(err)
@@ -210,6 +223,14 @@ func BenchmarkAKPWGrid50(b *testing.B) {
 	g := workload.Grid2D(50, 50, workload.Lognormal(1), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = AKPW(g, 1)
+		_ = must(AKPWCtx(context.Background(), g, 1))
 	}
+}
+
+// must unwraps a (value, error) pair whose error the test does not expect.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -66,16 +66,10 @@ func (u *unionFind) union(a, b int) bool {
 	return true
 }
 
-// Kruskal returns the edges of a spanning forest optimizing obj by sorting
-// all edges and greedily joining components.
-func Kruskal(g *graph.Graph, obj Objective) []graph.Edge {
-	out, _ := KruskalCtx(context.Background(), g, obj)
-	return out
-}
-
-// KruskalCtx is Kruskal under a context: the greedy union loop polls
-// cancellation at bounded intervals (the initial edge sort runs to
-// completion first). Results are identical to Kruskal.
+// KruskalCtx returns the edges of a spanning forest optimizing obj by
+// sorting all edges and greedily joining components. The greedy union loop
+// polls cancellation at bounded intervals (the initial edge sort runs to
+// completion first).
 func KruskalCtx(ctx context.Context, g *graph.Graph, obj Objective) ([]graph.Edge, error) {
 	es := g.Edges()
 	if obj == Min {
@@ -186,19 +180,12 @@ func (h *edgeHeap) pop() graph.Edge {
 	return top
 }
 
-// Boruvka returns the edges of a spanning forest optimizing obj. Each round
-// every component selects its best incident edge and components merge; the
-// number of rounds is O(log n). When parallel is true the per-vertex best
-// edge scan and per-component reduction run across cores.
-func Boruvka(g *graph.Graph, obj Objective, parallel bool) []graph.Edge {
-	out, _ := BoruvkaCtx(context.Background(), g, obj, parallel)
-	return out
-}
-
-// BoruvkaCtx is Boruvka under a context, polling cancellation once per
-// merge round (each round is one O(m) scan, so the check interval is
-// bounded by a single pass over the graph). Results are identical to
-// Boruvka.
+// BoruvkaCtx returns the edges of a spanning forest optimizing obj. Each
+// round every component selects its best incident edge and components
+// merge; the number of rounds is O(log n). When parallel is true the
+// per-vertex best edge scan and per-component reduction run across cores.
+// Cancellation is polled once per merge round (each round is one O(m) scan,
+// so the check interval is bounded by a single pass over the graph).
 func BoruvkaCtx(ctx context.Context, g *graph.Graph, obj Objective, parallel bool) ([]graph.Edge, error) {
 	n := g.N()
 	uf := newUnionFind(n)

@@ -1,6 +1,7 @@
 package mst
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -27,10 +28,10 @@ func TestAllAlgorithmsAgreeOnWeight(t *testing.T) {
 	for it := 0; it < 25; it++ {
 		g := randomConnected(rng, 3+rng.Intn(60), rng.Intn(120))
 		for _, obj := range []Objective{Min, Max} {
-			wk := TotalWeight(Kruskal(g, obj))
+			wk := TotalWeight(must(KruskalCtx(context.Background(), g, obj)))
 			wp := TotalWeight(Prim(g, obj))
-			wb := TotalWeight(Boruvka(g, obj, false))
-			wbp := TotalWeight(Boruvka(g, obj, true))
+			wb := TotalWeight(must(BoruvkaCtx(context.Background(), g, obj, false)))
+			wbp := TotalWeight(must(BoruvkaCtx(context.Background(), g, obj, true)))
 			if math.Abs(wk-wp) > 1e-9 || math.Abs(wk-wb) > 1e-9 || math.Abs(wk-wbp) > 1e-9 {
 				t.Fatalf("obj=%d weights differ: kruskal=%v prim=%v boruvka=%v parallel=%v",
 					obj, wk, wp, wb, wbp)
@@ -45,10 +46,10 @@ func TestResultIsSpanningTree(t *testing.T) {
 		n := 2 + rng.Intn(50)
 		g := randomConnected(rng, n, rng.Intn(80))
 		for name, edges := range map[string][]graph.Edge{
-			"kruskal":      Kruskal(g, Max),
+			"kruskal":      must(KruskalCtx(context.Background(), g, Max)),
 			"prim":         Prim(g, Max),
-			"boruvka":      Boruvka(g, Max, false),
-			"boruvka(par)": Boruvka(g, Max, true),
+			"boruvka":      must(BoruvkaCtx(context.Background(), g, Max, false)),
+			"boruvka(par)": must(BoruvkaCtx(context.Background(), g, Max, true)),
 		} {
 			if len(edges) != n-1 {
 				t.Fatalf("%s: %d edges for n=%d", name, len(edges), n)
@@ -67,9 +68,9 @@ func TestSpanningForestOnDisconnected(t *testing.T) {
 		{U: 3, V: 4, W: 5}, {U: 4, V: 5, W: 4}, {U: 3, V: 5, W: 6},
 	})
 	for name, edges := range map[string][]graph.Edge{
-		"kruskal": Kruskal(g, Max),
+		"kruskal": must(KruskalCtx(context.Background(), g, Max)),
 		"prim":    Prim(g, Max),
-		"boruvka": Boruvka(g, Max, false),
+		"boruvka": must(BoruvkaCtx(context.Background(), g, Max, false)),
 	} {
 		if len(edges) != 4 {
 			t.Fatalf("%s: %d edges, want 4 (two trees)", name, len(edges))
@@ -89,10 +90,10 @@ func TestKnownMST(t *testing.T) {
 	})
 	// Max ST: take 5 (0-2) and 4 (3-0); 3 (2-3) would close the cycle
 	// 0-2-3-0, so the next edge is 2 (1-2): total 11.
-	if w := TotalWeight(Kruskal(g, Max)); math.Abs(w-11) > 1e-12 {
+	if w := TotalWeight(must(KruskalCtx(context.Background(), g, Max))); math.Abs(w-11) > 1e-12 {
 		t.Errorf("max ST weight = %v, want 11", w)
 	}
-	if w := TotalWeight(Kruskal(g, Min)); math.Abs(w-6) > 1e-12 { // 1+2+3
+	if w := TotalWeight(must(KruskalCtx(context.Background(), g, Min))); math.Abs(w-6) > 1e-12 { // 1+2+3
 		t.Errorf("min ST weight = %v, want 6", w)
 	}
 }
@@ -103,7 +104,7 @@ func TestMaxSpanningTreeIsOptimal(t *testing.T) {
 	for it := 0; it < 10; it++ {
 		n := 5
 		g := randomConnected(rng, n, 4)
-		best := TotalWeight(Kruskal(g, Max))
+		best := TotalWeight(must(KruskalCtx(context.Background(), g, Max)))
 		es := g.Edges()
 		m := len(es)
 		// Enumerate all edge subsets of size n−1 that form a tree.
@@ -134,17 +135,21 @@ func TestEmptyAndSingleton(t *testing.T) {
 	empty := graph.MustFromEdges(0, nil)
 	single := graph.MustFromEdges(1, nil)
 	for _, g := range []*graph.Graph{empty, single} {
-		if len(Kruskal(g, Max)) != 0 || len(Prim(g, Max)) != 0 || len(Boruvka(g, Max, false)) != 0 {
+		if len(must(KruskalCtx(context.Background(), g, Max))) != 0 || len(Prim(g, Max)) != 0 || len(must(BoruvkaCtx(context.Background(), g, Max, false))) != 0 {
 			t.Error("trivial graphs should yield empty forests")
 		}
 	}
 }
 
-func BenchmarkKruskalGrid(b *testing.B) { benchMST(b, func(g *graph.Graph) { Kruskal(g, Max) }) }
-func BenchmarkPrimGrid(b *testing.B)    { benchMST(b, func(g *graph.Graph) { Prim(g, Max) }) }
-func BenchmarkBoruvkaGrid(b *testing.B) { benchMST(b, func(g *graph.Graph) { Boruvka(g, Max, false) }) }
+func BenchmarkKruskalGrid(b *testing.B) {
+	benchMST(b, func(g *graph.Graph) { must(KruskalCtx(context.Background(), g, Max)) })
+}
+func BenchmarkPrimGrid(b *testing.B) { benchMST(b, func(g *graph.Graph) { Prim(g, Max) }) }
+func BenchmarkBoruvkaGrid(b *testing.B) {
+	benchMST(b, func(g *graph.Graph) { must(BoruvkaCtx(context.Background(), g, Max, false)) })
+}
 func BenchmarkBoruvkaParGrid(b *testing.B) {
-	benchMST(b, func(g *graph.Graph) { Boruvka(g, Max, true) })
+	benchMST(b, func(g *graph.Graph) { must(BoruvkaCtx(context.Background(), g, Max, true)) })
 }
 
 func benchMST(b *testing.B, run func(*graph.Graph)) {
@@ -167,4 +172,12 @@ func benchMST(b *testing.B, run func(*graph.Graph)) {
 	for i := 0; i < b.N; i++ {
 		run(g)
 	}
+}
+
+// must unwraps a (value, error) pair whose error the test does not expect.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
 }

@@ -1,6 +1,7 @@
 package randwalk
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -113,7 +114,7 @@ func TestEscapeProfileTrappingBound(t *testing.T) {
 	// Mass retained in a cluster after t steps from the stationary
 	// restriction: retained(t) ≥ 1 − t·ψ(C) where ψ = out/vol.
 	g := workload.OCT3D(6, 6, 12, workload.DefaultOCTOptions())
-	d, err := decomp.FixedDegree(g, 4, 1)
+	d, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestOneStepEscapeIsExactlyBoundaryRatio(t *testing.T) {
 	// exactly ψ(C) = out(C)/vol(C): each v ∈ C holds vol(v)/vol(C) and
 	// sends fraction w(v,u)/vol(v) across each boundary edge.
 	g := workload.Grid2D(10, 10, workload.Lognormal(1.5), 9)
-	d, err := decomp.FixedDegree(g, 4, 1)
+	d, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +164,7 @@ func TestOneStepEscapeIsExactlyBoundaryRatio(t *testing.T) {
 
 func TestClusterMassSumsToOne(t *testing.T) {
 	g := workload.Grid2D(6, 6, nil, 1)
-	d, err := decomp.FixedDegree(g, 4, 1)
+	d, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -32,7 +32,7 @@ func New(g *graph.Graph) (*Computer, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("resist: %w", graph.ErrDisconnected)
 	}
-	h, err := hierarchy.New(g, hierarchy.DefaultOptions())
+	h, err := hierarchy.NewCtx(context.TODO(), g, hierarchy.DefaultOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -45,13 +45,8 @@ func New(g *graph.Graph) (*Computer, error) {
 	return &Computer{g: g, eng: eng, b: make([]float64, g.N())}, nil
 }
 
-// Between returns R_eff(u, v): inject one unit of current at u, extract it
-// at v, and read the potential difference.
-func (c *Computer) Between(u, v int) (float64, error) {
-	return c.BetweenCtx(context.Background(), u, v)
-}
-
-// BetweenCtx is Between with cancellation: a context cancelled mid-solve
+// BetweenCtx returns R_eff(u, v): inject one unit of current at u, extract
+// it at v, and read the potential difference. A context cancelled mid-solve
 // aborts the underlying PCG within one iteration-check interval.
 func (c *Computer) BetweenCtx(ctx context.Context, u, v int) (float64, error) {
 	n := c.g.N()
@@ -77,16 +72,11 @@ func (c *Computer) BetweenCtx(ctx context.Context, u, v int) (float64, error) {
 	return res.X[u] - res.X[v], nil
 }
 
-// EdgeLeverages returns, for every edge (in g.Edges() order), the leverage
-// score w(e)·R_eff(e) ∈ (0, 1] — the sampling probability weight of
-// spectral sparsification and the "importance" of the edge. The scores of
-// a connected graph sum to n − 1 (Foster's theorem), which the tests check.
-func (c *Computer) EdgeLeverages() ([]float64, error) {
-	return c.EdgeLeveragesCtx(context.Background())
-}
-
-// EdgeLeveragesCtx is EdgeLeverages with cancellation between (and within)
-// the per-edge solves.
+// EdgeLeveragesCtx returns, for every edge (in g.Edges() order), the
+// leverage score w(e)·R_eff(e) ∈ (0, 1] — the sampling probability weight
+// of spectral sparsification and the "importance" of the edge. The scores
+// of a connected graph sum to n − 1 (Foster's theorem), which the tests
+// check. Cancellation is honored between (and within) the per-edge solves.
 func (c *Computer) EdgeLeveragesCtx(ctx context.Context) ([]float64, error) {
 	es := c.g.Edges()
 	out := make([]float64, len(es))

@@ -1,6 +1,7 @@
 package resist
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestSeriesLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Between(0, 2)
+	r, err := c.BetweenCtx(context.Background(), 0, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +36,7 @@ func TestParallelLaw(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Between(0, 3)
+	r, err := c.BetweenCtx(context.Background(), 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestTriangleResistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Between(0, 1)
+	r, err := c.BetweenCtx(context.Background(), 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,21 +69,21 @@ func TestSymmetryAndZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r1, err := c.Between(2, 30)
+	r1, err := c.BetweenCtx(context.Background(), 2, 30)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.Between(30, 2)
+	r2, err := c.BetweenCtx(context.Background(), 30, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(r1-r2) > 1e-8 {
 		t.Errorf("asymmetric: %v vs %v", r1, r2)
 	}
-	if z, _ := c.Between(5, 5); z != 0 {
+	if z, _ := c.BetweenCtx(context.Background(), 5, 5); z != 0 {
 		t.Errorf("self resistance %v", z)
 	}
-	if _, err := c.Between(-1, 2); err == nil {
+	if _, err := c.BetweenCtx(context.Background(), -1, 2); err == nil {
 		t.Error("bad vertex accepted")
 	}
 }
@@ -97,7 +98,7 @@ func TestFostersTheorem(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lev, err := c.EdgeLeverages()
+		lev, err := c.EdgeLeveragesCtx(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,7 +130,7 @@ func BenchmarkResistanceGrid(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Between(0, g.N()-1); err != nil {
+		if _, err := c.BetweenCtx(context.Background(), 0, g.N()-1); err != nil {
 			b.Fatal(err)
 		}
 	}

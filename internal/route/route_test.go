@@ -1,6 +1,7 @@
 package route
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 
 func buildRouter(t *testing.T, g *graph.Graph) *Router {
 	t.Helper()
-	lam, err := laminar.Build(g, 4, 2, 1)
+	lam, err := laminar.BuildCtx(context.Background(), g, 4, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestRouteTrivialAndErrors(t *testing.T) {
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1},
 		{U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1},
 	})
-	lam, err := laminar.Build(dg, 4, 1, 1)
+	lam, err := laminar.BuildCtx(context.Background(), dg, 4, 1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,7 +193,7 @@ func TestSimplifyRemovesBacktracks(t *testing.T) {
 
 func BenchmarkRoute(b *testing.B) {
 	g := workload.Grid2D(30, 30, workload.Lognormal(1), 1)
-	lam, err := laminar.Build(g, 4, 2, 1)
+	lam, err := laminar.BuildCtx(context.Background(), g, 4, 2, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -208,3 +208,49 @@ func TestServerBatchedSolves(t *testing.T) {
 		t.Errorf("no batch width observations recorded")
 	}
 }
+
+// TestSolveRejectsMalformedRHS: a right-hand side whose length is not the
+// graph's dimension is the client's error — 400 under every method — and a
+// malformed request never shares a micro-batch with a well-formed one, so
+// the well-formed request still converges.
+func TestSolveRejectsMalformedRHS(t *testing.T) {
+	_, c := newTestServer(t, Config{BatchWindow: time.Second, BatchMaxWidth: 2})
+	code, body, _ := c.do("POST", "/v1/graphs?spec=grid2d:8&wait=true", "", nil)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: code %d body %v", code, body)
+	}
+	path := "/v1/graphs/" + body["id"].(string) + "/solve"
+	short := map[string]any{"b": [][]float64{{1, -1}}}
+
+	for _, method := range []string{"pcg", "chebyshev", "resilient"} {
+		// An explicit method skips the micro-batcher, so these return at
+		// once.
+		req := map[string]any{"b": short["b"], "method": method}
+		if code, body, _ := c.do("POST", path, "bad", req); code != http.StatusBadRequest {
+			t.Errorf("%s: short rhs got code %d body %v, want 400", method, code, body)
+		}
+	}
+
+	type out struct {
+		code int
+		body map[string]any
+	}
+	good := make(chan out, 1)
+	go func() {
+		code, body, _ := c.do("POST", path, "good", map[string]any{"rhs": 1})
+		good <- out{code, body}
+	}()
+	time.Sleep(100 * time.Millisecond) // inside the good request's batch window
+	if code, body, _ := c.do("POST", path, "bad", short); code != http.StatusBadRequest {
+		t.Errorf("batched short rhs got code %d body %v, want 400", code, body)
+	}
+	o := <-good
+	if o.code != http.StatusOK {
+		t.Fatalf("well-formed request next to a malformed one: code %d body %v", o.code, o.body)
+	}
+	for i, r := range o.body["results"].([]any) {
+		if r.(map[string]any)["converged"] != true {
+			t.Errorf("well-formed request result %d did not converge: %v", i, r)
+		}
+	}
+}

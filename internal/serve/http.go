@@ -441,6 +441,14 @@ func (s *Server) handleSolve(w http.ResponseWriter, r *http.Request) {
 		counter(s.reg, metricCacheHits)
 	}
 
+	// A malformed column is the client's error, and it must never reach a
+	// micro-batch, where its failure would fail every request in the batch.
+	for i, col := range req.B {
+		if len(col) != g.N() {
+			writeErr(w, http.StatusBadRequest, "rhs %d: length %d vs graph dimension %d", i, len(col), g.N())
+			return
+		}
+	}
 	b := req.B
 	if len(b) == 0 {
 		seed := req.Seed

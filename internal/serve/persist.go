@@ -349,10 +349,9 @@ func (s *store) finishHydration(ctx context.Context, h *handle, ch chan struct{}
 		h.buildErr = nil
 		h.ready = make(chan struct{})
 		h.cancel = cancel
-		opts := h.hopt
+		s.startBuildLocked(buildCtx, h, h.hopt)
 		s.mu.Unlock()
 		s.syncManifest()
-		go s.build(buildCtx, h, opts)
 
 	default:
 		// Nothing recoverable: quarantine and fail the handle so clients

@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -382,10 +383,16 @@ func TestServerCapClampsTimeout(t *testing.T) {
 	defer restore()
 
 	_, c := newTestServer(t, Config{MaxTimeout: 50 * time.Millisecond})
-	_, body, _ := c.do("POST", "/v1/graphs?spec=grid3d:6&wait=true", "", nil)
+	// Submit without ?wait: the cap also bounds the submit, and a build
+	// slowed down (say, by the race detector) would outlast it.
+	code, body, _ := c.do("POST", "/v1/graphs?spec=grid3d:6", "", nil)
+	if code != http.StatusCreated {
+		t.Fatalf("submit: code %d body %v", code, body)
+	}
 	id := body["id"].(string)
+	waitStatus(t, c, id, "ready")
 
-	code, body, _ := c.do("POST", "/v1/graphs/"+id+"/solve?timeout_ms=60000", "", map[string]any{"rhs": 1})
+	code, body, _ = c.do("POST", "/v1/graphs/"+id+"/solve?timeout_ms=60000", "", map[string]any{"rhs": 1})
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("capped budget: code %d body %v, want 504", code, body)
 	}
@@ -517,5 +524,34 @@ func TestRemovalsDurableOnReturn(t *testing.T) {
 	}
 	if len(m.Handles) != 1 || m.Handles[0].ID != ids[2] {
 		t.Errorf("manifest after Close lists %+v, want only %s", m.Handles, ids[2])
+	}
+}
+
+// TestCloseJoinsBuilds: Close returns only after every hierarchy build the
+// store started has finished, so no build outlives the in-process crash and
+// writes to the state dir behind the next server's back.
+func TestCloseJoinsBuilds(t *testing.T) {
+	restore := faultinject.Activate(map[string]faultinject.Spec{
+		faultinject.BuildFail: {Delay: 300 * time.Millisecond, DelayOnly: true},
+	})
+	defer restore()
+	srv, c := newTestServer(t, Config{StateDir: t.TempDir()})
+	if code, body, _ := c.do("POST", "/v1/graphs?spec=grid2d:8", "", nil); code != http.StatusCreated {
+		t.Fatalf("submit: code %d body %v", code, body)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for faultinject.Hits(faultinject.BuildFail) == 0 { // the build is stalled
+		if time.Now().After(deadline) {
+			t.Fatal("the build never reached its fault point")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	srv.Close()
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	for _, g := range strings.Split(string(buf), "\n\n") {
+		if strings.Contains(g, "serve.(*store).build(") {
+			t.Fatalf("a build goroutine outlived Close:\n%s", g)
+		}
 	}
 }

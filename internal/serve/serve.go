@@ -167,13 +167,14 @@ func New(cfg Config) *Server {
 // diagnostics mux.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Registry exposes the metric registry (the -smoke battery and tests read
+// Registry exposes the metric registry (tests and the benchmark read
 // counters directly instead of scraping /metrics).
 func (s *Server) Registry() *obs.Registry { return s.reg }
 
 // Drain retires the server gracefully: new requests are refused with 503
 // (Connection: close) while requests already in flight run to completion.
-// It returns when the server is idle or ctx expires — pair it with
+// It returns when the server is idle — no request in flight, no hierarchy
+// build or snapshot removal running — or ctx expires; pair it with
 // http.Server.Shutdown, which handles the listener side.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
@@ -196,8 +197,9 @@ func (s *Server) Drain(ctx context.Context) error {
 // cleanup — snapshots and the manifest stay exactly as the last sync left
 // them. It is the in-process analogue of kill -9, used by crash-recovery
 // tests and the chaos battery; production shutdown pairs Drain with
-// http.Server.Shutdown instead. Close does wait for the snapshot removals
-// that evictions already started, so no store goroutine outlives it.
+// http.Server.Shutdown instead. Close does wait for the goroutines the store
+// already started — the cancelled builds and the snapshot removals of
+// evictions — and starts no new ones, so no store goroutine outlives it.
 func (s *Server) Close() {
 	s.draining.Store(true)
 	s.store.closeAll()

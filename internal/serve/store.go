@@ -134,11 +134,14 @@ type store struct {
 	pst        *persister // nil = memory-only (no -state-dir)
 	breaker    int        // consecutive build failures before degrading; ≤ 0 disables
 
-	// bg tracks the snapshot removals eviction starts; Close and Drain
-	// wait for them.
+	// bg tracks every goroutine the store starts — hierarchy builds and
+	// the snapshot removals eviction starts; Close and Drain wait for them.
+	// goLocked adds to it under mu, and closed (set by closeAll under mu)
+	// stops new additions, so nothing joins the group after Close.
 	bg sync.WaitGroup
 
 	mu     sync.Mutex
+	closed bool
 	byID   map[string]*handle
 	lru    *list.List // front = most recently used; values are *handle
 	bytes  int64
@@ -199,10 +202,37 @@ func (s *store) Put(g *hcd.Graph, hopt *hcd.HierarchyOptions) (*handle, error) {
 	s.byID[h.id] = h
 	s.bytes += gb
 	s.publishLocked()
+	s.startBuildLocked(buildCtx, h, opts)
 	s.mu.Unlock()
-
-	go s.build(buildCtx, h, opts)
 	return h, nil
+}
+
+// goLocked runs fn on a goroutine of the store's bg group, which Close and
+// Drain join. Callers hold s.mu. After closeAll it starts nothing and
+// returns false.
+func (s *store) goLocked(fn func()) bool {
+	if s.closed {
+		return false
+	}
+	s.bg.Add(1)
+	go func() {
+		defer s.bg.Done()
+		fn()
+	}()
+	return true
+}
+
+// startBuildLocked runs h's hierarchy build on the bg group. Callers hold
+// s.mu and have set h building with a fresh ready channel and the build
+// context's cancel func. After closeAll the build fails at once, which
+// still wakes the waiters on h.ready.
+func (s *store) startBuildLocked(ctx context.Context, h *handle, opts hcd.HierarchyOptions) {
+	if !s.goLocked(func() { s.build(ctx, h, opts) }) {
+		h.cancel()
+		h.status = StatusFailed
+		h.buildErr = errors.New("serve: server closed before the build started")
+		close(h.ready)
+	}
 }
 
 // buildContext manufactures the background context hierarchy builds run
@@ -305,9 +335,8 @@ func (s *store) retryBuild(h *handle) {
 	h.buildErr = nil
 	h.ready = make(chan struct{})
 	h.cancel = cancel
-	opts := h.hopt
+	s.startBuildLocked(buildCtx, h, h.hopt)
 	s.mu.Unlock()
-	go s.build(buildCtx, h, opts)
 }
 
 // readyChan returns the channel that closes when the handle's current build
@@ -342,12 +371,9 @@ func (s *store) evictLocked(need int64, extra int) error {
 		}
 		if file := s.removeLocked(victim); file != "" {
 			// Eviction runs under store.mu, so the snapshot goes on a
-			// goroutine the store owns; Close and Drain join it.
-			s.bg.Add(1)
-			go func() {
-				defer s.bg.Done()
-				s.dropSnapshot(file)
-			}()
+			// goroutine the store owns; Close and Drain join it. After
+			// Close the snapshot stays, like every other durable state.
+			s.goLocked(func() { s.dropSnapshot(file) })
 		}
 		counter(s.reg, metricEvictions)
 	}
@@ -482,6 +508,7 @@ func (s *store) infoLocked(h *handle) HandleInfo {
 func (s *store) closeAll() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.closed = true
 	for _, h := range s.byID {
 		if h.cancel != nil {
 			h.cancel()

@@ -123,10 +123,16 @@ func TestPCGParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	g := workload.Grid2D(40, 40, workload.Lognormal(1), 5)
 	b := meanFreeRHS(rng, g.N())
-	serial := PCG(LapOperator(g), Jacobi(g), b, DefaultOptions())
+	serial, err := PCGCtx(context.Background(), LapOperator(g), Jacobi(g), b, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	restore := forceParallel(8)
-	par := PCG(LapOperator(g), Jacobi(g), b, DefaultOptions())
+	par, err := PCGCtx(context.Background(), LapOperator(g), Jacobi(g), b, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	restore()
 
 	if !serial.Converged || !par.Converged {
@@ -220,7 +226,10 @@ func TestOutcomeMaxIter(t *testing.T) {
 	b := meanFreeRHS(rng, g.N())
 	opt := DefaultOptions()
 	opt.MaxIter = 2
-	res := PCG(LapOperator(g), Jacobi(g), b, opt)
+	res, err := PCGCtx(context.Background(), LapOperator(g), Jacobi(g), b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if res.Outcome != OutcomeMaxIter || res.Converged {
 		t.Errorf("outcome %v converged=%v, want max-iterations", res.Outcome, res.Converged)
 	}
@@ -233,7 +242,10 @@ func TestMetricsPopulated(t *testing.T) {
 	g := workload.Grid3D(8, 8, 8, workload.Lognormal(1), 2)
 	rng := rand.New(rand.NewSource(18))
 	b := meanFreeRHS(rng, g.N())
-	res := PCG(LapOperator(g), Jacobi(g), b, DefaultOptions())
+	res, err := PCGCtx(context.Background(), LapOperator(g), Jacobi(g), b, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	m := res.Metrics
 	if !res.Converged {
 		t.Fatalf("solve did not converge: %v", res.Outcome)
@@ -279,7 +291,10 @@ func TestProgressCallback(t *testing.T) {
 			t.Errorf("bad residual %v at iter %d", resid, iter)
 		}
 	}
-	res := PCG(LapOperator(g), Jacobi(g), b, opt)
+	res, err := PCGCtx(context.Background(), LapOperator(g), Jacobi(g), b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(iters) != res.Iterations {
 		t.Errorf("progress called %d times for %d iterations", len(iters), res.Iterations)
 	}
@@ -358,7 +373,7 @@ func TestEngineChebyshevAndDimErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Bootstrap spectrum bounds from a PCG probe, as SolveChebyshev does.
+	// Bootstrap spectrum bounds from a PCG probe, as hcd.SolveChebyshevCtx does.
 	probe, err := eng.SolveWith(context.Background(), b, Options{Tol: 1e-12, MaxIter: 40, ProjectMean: true})
 	if err != nil {
 		t.Fatal(err)

@@ -303,29 +303,12 @@ func zero(x []float64) {
 	}
 }
 
-// CG solves A·x = b with plain conjugate gradients.
-func CG(a Operator, b []float64, opt Options) Result {
-	return PCG(a, Identity(a.Dim()), b, opt)
-}
-
-// PCG solves A·x = b with preconditioned conjugate gradients. For singular
-// Laplacian operators set opt.ProjectMean so the right-hand side and
-// iterates stay orthogonal to the constant vector.
-//
-// PCG is a thin wrapper over PCGCtx with context.Background() and fresh
-// work buffers; it panics on dimension mismatch (historical behavior).
-func PCG(a Operator, m Preconditioner, b []float64, opt Options) Result {
-	res, err := PCGCtx(context.Background(), a, m, b, opt)
-	if err != nil {
-		panic("solver: " + err.Error())
-	}
-	return res
-}
-
-// PCGCtx is PCG with cancellation: the iteration loop polls ctx every
-// opt.CheckEvery iterations and returns OutcomeCancelled promptly when the
-// context is done. It returns an error (wrapping graph.ErrBadDimension) on
-// size mismatches instead of panicking.
+// PCGCtx solves A·x = b with preconditioned conjugate gradients (plain CG
+// with m = Identity). For singular Laplacian operators set opt.ProjectMean
+// so the right-hand side and iterates stay orthogonal to the constant
+// vector. The iteration loop polls ctx every opt.CheckEvery iterations and
+// returns OutcomeCancelled promptly when the context is done. Size
+// mismatches return an error wrapping graph.ErrBadDimension.
 func PCGCtx(ctx context.Context, a Operator, m Preconditioner, b []float64, opt Options) (Result, error) {
 	var s scratch
 	return s.solve1(ctx, a, m, b, opt)
@@ -379,23 +362,11 @@ func finite(x []float64) bool {
 	return true
 }
 
-// Chebyshev runs Chebyshev iteration for A·x = b given bounds
+// ChebyshevCtx runs Chebyshev iteration for A·x = b given bounds
 // [lmin, lmax] on the spectrum of M⁻¹A. It needs no inner products, making
 // it the classical communication-free companion to the parallel
 // preconditioners of Section 3.1.
 //
-// Chebyshev is a thin wrapper over ChebyshevCtx with context.Background();
-// it always runs the full iteration count (no tolerance-based early exit).
-func Chebyshev(a Operator, m Preconditioner, b []float64, lmin, lmax float64, iters int, projectMeanFlag bool) ([]float64, []float64, error) {
-	res, err := ChebyshevCtx(context.Background(), a, m, b, lmin, lmax,
-		Options{MaxIter: iters, ProjectMean: projectMeanFlag})
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.X, res.Residuals, nil
-}
-
-// ChebyshevCtx runs Chebyshev iteration with cancellation and metrics.
 // opt.MaxIter is the iteration count; when opt.Tol > 0 the loop exits early
 // once ‖r‖ ≤ Tol·‖r₀‖ (the per-iteration residual norm is instrumentation —
 // the recurrence itself stays inner-product-free). Outcome is
@@ -567,7 +538,10 @@ func SpectrumEstimate(alphas, betas []float64) (float64, float64, error) {
 // argument supplies the probe vector (it will be mean-projected).
 func ConditionEstimate(a Operator, m Preconditioner, probe []float64, iters int) (float64, error) {
 	opt := Options{Tol: 1e-14, MaxIter: iters, ProjectMean: true}
-	res := PCG(a, m, probe, opt)
+	res, err := PCGCtx(context.TODO(), a, m, probe, opt)
+	if err != nil {
+		return 0, err
+	}
 	lmin, lmax, err := SpectrumEstimate(res.Alphas, res.Betas)
 	if err != nil {
 		return 0, err

@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -39,7 +40,10 @@ func TestCGSolvesLaplacian(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	g := workload.Grid2D(12, 12, workload.UniformWeight(0.5, 2), 1)
 	b := meanFreeRHS(rng, g.N())
-	res := CG(LapOperator(g), b, DefaultOptions())
+	res, err := PCGCtx(context.Background(), LapOperator(g), Identity(g.N()), b, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Converged {
 		t.Fatalf("CG did not converge in %d iterations", res.Iterations)
 	}
@@ -54,8 +58,14 @@ func TestPCGJacobiBeatsCGOnSkewedWeights(t *testing.T) {
 	b := meanFreeRHS(rng, g.N())
 	opt := DefaultOptions()
 	opt.Tol = 1e-8
-	cg := CG(LapOperator(g), b, opt)
-	pcg := PCG(LapOperator(g), Jacobi(g), b, opt)
+	cg, err := PCGCtx(context.Background(), LapOperator(g), Identity(g.N()), b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcg, err := PCGCtx(context.Background(), LapOperator(g), Jacobi(g), b, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !pcg.Converged {
 		t.Fatalf("Jacobi-PCG did not converge")
 	}
@@ -68,7 +78,10 @@ func TestPCGResidualHistoryMonotoneOverall(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := workload.Grid3D(6, 6, 6, workload.Lognormal(1), 2)
 	b := meanFreeRHS(rng, g.N())
-	res := PCG(LapOperator(g), Jacobi(g), b, DefaultOptions())
+	res, err := PCGCtx(context.Background(), LapOperator(g), Jacobi(g), b, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(res.Residuals) != res.Iterations+1 {
 		t.Fatalf("history length %d vs iterations %d", len(res.Residuals), res.Iterations)
 	}
@@ -79,7 +92,10 @@ func TestPCGResidualHistoryMonotoneOverall(t *testing.T) {
 
 func TestPCGZeroRHS(t *testing.T) {
 	g := workload.Grid2D(4, 4, nil, 1)
-	res := PCG(LapOperator(g), Jacobi(g), make([]float64, g.N()), DefaultOptions())
+	res, err := PCGCtx(context.Background(), LapOperator(g), Jacobi(g), make([]float64, g.N()), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Converged || res.Iterations != 0 {
 		t.Errorf("zero rhs should converge instantly")
 	}
@@ -98,7 +114,10 @@ func TestPCGConstantRHSProjected(t *testing.T) {
 	for i := range b {
 		b[i] = 3.7
 	}
-	res := PCG(LapOperator(g), Identity(g.N()), b, DefaultOptions())
+	res, err := PCGCtx(context.Background(), LapOperator(g), Identity(g.N()), b, DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Converged {
 		t.Error("projected constant rhs should converge")
 	}
@@ -122,7 +141,10 @@ func TestSpectrumEstimateOnKnownOperator(t *testing.T) {
 	for i := range b {
 		b[i] = rng.NormFloat64()
 	}
-	res := PCG(op, Identity(n), b, Options{Tol: 1e-14, MaxIter: n, ProjectMean: false})
+	res, err := PCGCtx(context.Background(), op, Identity(n), b, Options{Tol: 1e-14, MaxIter: n, ProjectMean: false})
+	if err != nil {
+		t.Fatal(err)
+	}
 	lmin, lmax, err := SpectrumEstimate(res.Alphas, res.Betas)
 	if err != nil {
 		t.Fatal(err)
@@ -152,15 +174,20 @@ func TestChebyshevConvergesWithGoodBounds(t *testing.T) {
 	g := workload.Grid2D(10, 10, nil, 1)
 	b := meanFreeRHS(rng, g.N())
 	// Estimate spectrum of D⁻¹A via PCG first.
-	res := PCG(LapOperator(g), Jacobi(g), b, Options{Tol: 1e-13, MaxIter: 200, ProjectMean: true})
+	res, err := PCGCtx(context.Background(), LapOperator(g), Jacobi(g), b, Options{Tol: 1e-13, MaxIter: 200, ProjectMean: true})
+	if err != nil {
+		t.Fatal(err)
+	}
 	lmin, lmax, err := SpectrumEstimate(res.Alphas, res.Betas)
 	if err != nil {
 		t.Fatal(err)
 	}
-	x, hist, err := Chebyshev(LapOperator(g), Jacobi(g), b, lmin*0.9, lmax*1.1, 200, true)
+	cheb, err := ChebyshevCtx(context.Background(), LapOperator(g), Jacobi(g), b, lmin*0.9, lmax*1.1,
+		Options{MaxIter: 200, ProjectMean: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	x, hist := cheb.X, cheb.Residuals
 	if hist[len(hist)-1] > hist[0]*1e-4 {
 		t.Errorf("Chebyshev residual %v vs initial %v", hist[len(hist)-1], hist[0])
 	}
@@ -172,10 +199,11 @@ func TestChebyshevConvergesWithGoodBounds(t *testing.T) {
 func TestChebyshevRejectsBadBounds(t *testing.T) {
 	g := workload.Grid2D(3, 3, nil, 1)
 	b := make([]float64, g.N())
-	if _, _, err := Chebyshev(LapOperator(g), Jacobi(g), b, 0, 1, 5, true); err == nil {
+	opt := Options{MaxIter: 5, ProjectMean: true}
+	if _, err := ChebyshevCtx(context.Background(), LapOperator(g), Jacobi(g), b, 0, 1, opt); err == nil {
 		t.Error("lmin=0 accepted")
 	}
-	if _, _, err := Chebyshev(LapOperator(g), Jacobi(g), b, 2, 1, 5, true); err == nil {
+	if _, err := ChebyshevCtx(context.Background(), LapOperator(g), Jacobi(g), b, 2, 1, opt); err == nil {
 		t.Error("lmax < lmin accepted")
 	}
 }
@@ -192,6 +220,8 @@ func BenchmarkPCGJacobiGrid(b *testing.B) {
 	rhs := meanFreeRHS(rng, g.N())
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		PCG(LapOperator(g), Jacobi(g), rhs, DefaultOptions())
+		if _, err := PCGCtx(context.Background(), LapOperator(g), Jacobi(g), rhs, DefaultOptions()); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package sparsify
 
 import (
+	"context"
 	"testing"
 
 	"hcd/internal/dense"
@@ -14,7 +15,7 @@ func TestSparsifyStructure(t *testing.T) {
 	for _, base := range []BaseTree{MaxWeightTree, LowStretchTree} {
 		opt := DefaultOptions()
 		opt.Base = base
-		res, err := Sparsify(g, opt)
+		res, err := SparsifyCtx(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -45,7 +46,7 @@ func TestSparsifyKeepsHighestStretch(t *testing.T) {
 	g := workload.GridDiag2D(10, 10, workload.Lognormal(2), 2)
 	opt := DefaultOptions()
 	opt.ExtraFraction = 0.1
-	res, err := Sparsify(g, opt)
+	res, err := SparsifyCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +61,7 @@ func TestSparsifyKeepsHighestStretch(t *testing.T) {
 	// Indirect check: growing the budget reduces MaxDroppedStretch.
 	opt2 := opt
 	opt2.ExtraFraction = 0.5
-	res2, err := Sparsify(g, opt2)
+	res2, err := SparsifyCtx(context.Background(), g, opt2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestSparsifyZeroBudgetIsTree(t *testing.T) {
 	g := workload.Grid2D(8, 8, workload.Lognormal(1), 3)
 	opt := DefaultOptions()
 	opt.ExtraFraction = 0
-	res, err := Sparsify(g, opt)
+	res, err := SparsifyCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,17 +86,17 @@ func TestSparsifyZeroBudgetIsTree(t *testing.T) {
 
 func TestSparsifyValidation(t *testing.T) {
 	disc := graph.MustFromEdges(4, []graph.Edge{{U: 0, V: 1, W: 1}, {U: 2, V: 3, W: 1}})
-	if _, err := Sparsify(disc, DefaultOptions()); err == nil {
+	if _, err := SparsifyCtx(context.Background(), disc, DefaultOptions()); err == nil {
 		t.Error("disconnected accepted")
 	}
 	g := workload.Grid2D(3, 3, nil, 1)
 	opt := DefaultOptions()
 	opt.ExtraFraction = -1
-	if _, err := Sparsify(g, opt); err == nil {
+	if _, err := SparsifyCtx(context.Background(), g, opt); err == nil {
 		t.Error("negative fraction accepted")
 	}
 	tiny := graph.MustFromEdges(2, []graph.Edge{{U: 0, V: 1, W: 5}})
-	res, err := Sparsify(tiny, DefaultOptions())
+	res, err := SparsifyCtx(context.Background(), tiny, DefaultOptions())
 	if err != nil || res.B.M() != 1 {
 		t.Errorf("tiny graph mishandled: %v", err)
 	}
@@ -112,7 +113,7 @@ func TestSparsifySpectralQualityImprovesWithBudget(t *testing.T) {
 	for _, fraction := range []float64{0, 0.1, 0.3, 0.8} {
 		opt := DefaultOptions()
 		opt.ExtraFraction = fraction
-		res, err := Sparsify(g, opt)
+		res, err := SparsifyCtx(context.Background(), g, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +194,7 @@ func TestSparsifyBudgetExceedingOffTree(t *testing.T) {
 	g := workload.Grid2D(5, 5, nil, 1)
 	opt := DefaultOptions()
 	opt.ExtraFraction = 100 // far more than available off-tree edges
-	res, err := Sparsify(g, opt)
+	res, err := SparsifyCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}

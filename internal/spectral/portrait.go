@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math"
 
 	"hcd/internal/decomp"
@@ -22,7 +23,10 @@ type PortraitRow struct {
 // decomposition's measured (exact where possible) closure conductance.
 func Portrait(d *decomp.Decomposition, k int, seed int64) ([]PortraitRow, error) {
 	g := d.G
-	rep := decomp.Evaluate(d, graph.MaxExactConductance)
+	rep, err := decomp.EvaluateCtx(context.TODO(), d, graph.MaxExactConductance)
+	if err != nil {
+		return nil, err
+	}
 	vals, vecs, err := Smallest(g, k, 0, seed)
 	if err != nil {
 		return nil, err

@@ -1,6 +1,7 @@
 package spectral
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -156,7 +157,7 @@ func TestTheorem41OnTrees(t *testing.T) {
 	for it := 0; it < 8; it++ {
 		n := 12 + rng.Intn(16)
 		g := treealg.RandomTree(rng, n, func() float64 { return 0.3 + rng.Float64()*3 })
-		d, err := decomp.Tree(g)
+		d, err := decomp.TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -196,11 +197,14 @@ func TestTheorem41OnTrees(t *testing.T) {
 func TestTheorem41PaperConstant(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	g := treealg.RandomTree(rng, 24, func() float64 { return 0.5 + rng.Float64() })
-	d, err := decomp.Tree(g)
+	d, err := decomp.TreeCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep := decomp.Evaluate(d, graph.MaxExactConductance)
+	rep, err := decomp.EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !rep.PhiExact {
 		t.Fatal("need exact φ")
 	}
@@ -221,7 +225,7 @@ func TestAlignmentOfClusterConstantVector(t *testing.T) {
 	// A vector that IS cluster-wise constant scaled by D^{1/2} must have
 	// alignment exactly 1.
 	g := workload.Grid2D(6, 6, workload.Lognormal(1), 3)
-	d, err := decomp.FixedDegree(g, 4, 1)
+	d, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +248,7 @@ func TestAlignmentOfClusterConstantVector(t *testing.T) {
 
 func TestPortrait(t *testing.T) {
 	g := workload.Grid2D(10, 10, workload.Lognormal(1), 4)
-	d, err := decomp.FixedDegree(g, 4, 1)
+	d, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -271,7 +275,7 @@ func TestPortrait(t *testing.T) {
 func TestAlignmentBounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	g := workload.Grid2D(5, 5, nil, 1)
-	d, err := decomp.FixedDegree(g, 4, 2)
+	d, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package spectralcut
 
 import (
+	"context"
 	"testing"
 
 	"hcd/internal/decomp"
@@ -10,7 +11,7 @@ import (
 
 func TestDecomposeGrid(t *testing.T) {
 	g := workload.Grid2D(12, 12, workload.Lognormal(1), 1)
-	d, st, err := Decompose(g, DefaultOptions())
+	d, st, err := DecomposeCtx(context.Background(), g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +63,7 @@ func TestDecomposePlantedBlocks(t *testing.T) {
 	g := graph.MustFromEdges(2*s, es)
 	opt := DefaultOptions()
 	opt.TargetPhi = 0.2
-	d, _, err := Decompose(g, opt)
+	d, _, err := DecomposeCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +85,7 @@ func TestDecomposeRespectsComponents(t *testing.T) {
 		{U: 0, V: 1, W: 1}, {U: 1, V: 2, W: 1},
 		{U: 3, V: 4, W: 1}, {U: 4, V: 5, W: 1},
 	})
-	d, _, err := Decompose(g, DefaultOptions())
+	d, _, err := DecomposeCtx(context.Background(), g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,11 +101,11 @@ func TestDecomposeValidation(t *testing.T) {
 	g := workload.Grid2D(3, 3, nil, 1)
 	opt := DefaultOptions()
 	opt.TargetPhi = 0
-	if _, _, err := Decompose(g, opt); err == nil {
+	if _, _, err := DecomposeCtx(context.Background(), g, opt); err == nil {
 		t.Error("TargetPhi 0 accepted")
 	}
 	empty := graph.MustFromEdges(0, nil)
-	if d, _, err := Decompose(empty, DefaultOptions()); err != nil || d.Count != 0 {
+	if d, _, err := DecomposeCtx(context.Background(), empty, DefaultOptions()); err != nil || d.Count != 0 {
 		t.Error("empty graph mishandled")
 	}
 }
@@ -114,7 +115,7 @@ func TestMaxClustersCap(t *testing.T) {
 	opt := DefaultOptions()
 	opt.TargetPhi = 10 // unattainable: would split forever without the cap
 	opt.MaxClusters = 10
-	d, _, err := Decompose(g, opt)
+	d, _, err := DecomposeCtx(context.Background(), g, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,16 +132,22 @@ func TestMaxClustersCap(t *testing.T) {
 // achieves a guaranteed reduction factor.
 func TestTopDownVsBottomUpProfile(t *testing.T) {
 	g := workload.Grid2D(14, 14, workload.Lognormal(1), 3)
-	dTop, st, err := Decompose(g, DefaultOptions())
+	dTop, st, err := DecomposeCtx(context.Background(), g, DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	dBot, err := decomp.FixedDegree(g, 4, 1)
+	dBot, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rTop := decomp.Evaluate(dTop, graph.MaxExactConductance)
-	rBot := decomp.Evaluate(dBot, graph.MaxExactConductance)
+	rTop, err := decomp.EvaluateCtx(context.Background(), dTop, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rBot, err := decomp.EvaluateCtx(context.Background(), dBot, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("top-down: %d clusters (ρ=%.2f) with %d eigensolves; bottom-up: %d clusters (ρ=%.2f), zero eigensolves",
 		dTop.Count, rTop.Rho, st.EigenCalls, dBot.Count, rBot.Rho)
 	if rBot.Rho < 2 {
@@ -152,7 +159,7 @@ func BenchmarkSpectralCutGrid(b *testing.B) {
 	g := workload.Grid2D(20, 20, workload.Lognormal(1), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := Decompose(g, DefaultOptions()); err != nil {
+		if _, _, err := DecomposeCtx(context.Background(), g, DefaultOptions()); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -16,6 +16,7 @@
 package steiner
 
 import (
+	"context"
 	"fmt"
 
 	"hcd/internal/decomp"
@@ -103,7 +104,12 @@ func New(d *decomp.Decomposition, opt Options) (*Preconditioner, error) {
 		jac := solver.Jacobi(q)
 		tol, maxIter := opt.InnerTol, opt.InnerMaxIter
 		p.qSolve = func(dst, r []float64) {
-			res := solver.PCG(op, jac, r, solver.Options{Tol: tol, MaxIter: maxIter, ProjectMean: true})
+			res, err := solver.PCGCtx(context.TODO(), op, jac, r,
+				solver.Options{Tol: tol, MaxIter: maxIter, ProjectMean: true})
+			if err != nil {
+				// The enclosing solve recovers the panic into its error.
+				panic(err)
+			}
 			copy(dst, res.X)
 		}
 	}

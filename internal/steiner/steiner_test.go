@@ -1,6 +1,7 @@
 package steiner
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,7 +30,7 @@ func meanFree(rng *rand.Rand, n int) []float64 {
 
 func fixedDecomp(t *testing.T, g *graph.Graph) *decomp.Decomposition {
 	t.Helper()
-	d, err := decomp.FixedDegree(g, 4, 1)
+	d, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +64,7 @@ func TestApplyMatchesSchurComplement(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for it := 0; it < 8; it++ {
 		g := treealg.RandomTree(rng, 12+rng.Intn(20), func() float64 { return 0.2 + rng.Float64()*4 })
-		d, err := decomp.Tree(g)
+		d, err := decomp.TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -108,7 +109,7 @@ func demean(x []float64) {
 func TestSchurDenseMatchesBlockElimination(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := treealg.RandomTree(rng, 15, func() float64 { return 0.5 + rng.Float64() })
-	d, err := decomp.Tree(g)
+	d, err := decomp.TreeCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +157,7 @@ func TestApplyMatchesFullSteinerSystemSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for it := 0; it < 6; it++ {
 		g := treealg.RandomTree(rng, 10+rng.Intn(15), func() float64 { return 0.3 + rng.Float64()*2 })
-		d, err := decomp.Tree(g)
+		d, err := decomp.TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,11 +196,14 @@ func TestTheorem35BoundOnTrees(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for it := 0; it < 12; it++ {
 		g := treealg.RandomTree(rng, 8+rng.Intn(16), func() float64 { return 0.2 + rng.Float64()*5 })
-		d, err := decomp.Tree(g)
+		d, err := decomp.TreeCtx(context.Background(), g)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rep := decomp.Evaluate(d, graph.MaxExactConductance)
+		rep, err := decomp.EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if !rep.PhiExact || rep.Phi <= 0 {
 			t.Fatalf("it=%d: need exact positive φ, got %+v", it, rep)
 		}
@@ -225,7 +229,10 @@ func TestTheorem35BoundOnTrees(t *testing.T) {
 func TestTheorem35BoundOnGrids(t *testing.T) {
 	g := workload.Grid2D(5, 5, workload.Lognormal(1), 5)
 	d := fixedDecomp(t, g)
-	rep := decomp.Evaluate(d, graph.MaxExactConductance)
+	rep, err := decomp.EvaluateCtx(context.Background(), d, graph.MaxExactConductance)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !rep.PhiExact {
 		t.Fatal("need exact φ")
 	}
@@ -251,7 +258,7 @@ func TestTheorem35BoundOnGrids(t *testing.T) {
 func TestTheorem35RoutingStep(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	g := treealg.RandomTree(rng, 18, func() float64 { return 0.3 + rng.Float64()*3 })
-	d, err := decomp.Tree(g)
+	d, err := decomp.TreeCtx(context.Background(), g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +339,10 @@ func TestSteinerPCGConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	bvec := meanFree(rng, g.N())
-	res := solver.PCG(solver.LapOperator(g), p, bvec, solver.DefaultOptions())
+	res, err := solver.PCGCtx(context.Background(), solver.LapOperator(g), p, bvec, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Converged {
 		t.Fatalf("Steiner PCG did not converge in %d iterations", res.Iterations)
 	}
@@ -349,7 +359,10 @@ func TestSteinerPCGConvergence(t *testing.T) {
 		t.Errorf("residual inf-norm %v", worst)
 	}
 	// Compare with unpreconditioned CG on the same system.
-	cg := solver.CG(solver.LapOperator(g), bvec, solver.DefaultOptions())
+	cg, err := solver.PCGCtx(context.Background(), solver.LapOperator(g), solver.Identity(g.N()), bvec, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("steiner PCG iters=%d, plain CG iters=%d (converged=%v)", res.Iterations, cg.Iterations, cg.Converged)
 	if cg.Converged && res.Iterations > cg.Iterations {
 		t.Errorf("Steiner PCG (%d) slower than plain CG (%d) on OCT volume", res.Iterations, cg.Iterations)
@@ -367,7 +380,10 @@ func TestInnerIterativeQuotientFallback(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(8))
 	bvec := meanFree(rng, g.N())
-	res := solver.PCG(solver.LapOperator(g), p, bvec, solver.DefaultOptions())
+	res, err := solver.PCGCtx(context.Background(), solver.LapOperator(g), p, bvec, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !res.Converged {
 		t.Errorf("PCG with iterative quotient solve did not converge (%d iters)", res.Iterations)
 	}
@@ -401,7 +417,7 @@ func TestConditionNumberConstantAcrossSizes(t *testing.T) {
 
 func BenchmarkSteinerApply(b *testing.B) {
 	g := workload.Grid3D(20, 20, 20, workload.Lognormal(1), 1)
-	d, err := decomp.FixedDegree(g, 4, 1)
+	d, err := decomp.FixedDegreeCtx(context.Background(), g, 4, 1)
 	if err != nil {
 		b.Fatal(err)
 	}

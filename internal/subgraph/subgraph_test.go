@@ -1,6 +1,7 @@
 package subgraph
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -151,7 +152,7 @@ func TestCoreLimitEnforced(t *testing.T) {
 func TestSubgraphPreconditionedPCG(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := workload.Grid3D(8, 8, 8, workload.Lognormal(1), 5)
-	res, err := sparsify.Sparsify(g, sparsify.DefaultOptions())
+	res, err := sparsify.SparsifyCtx(context.Background(), g, sparsify.DefaultOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,11 +162,17 @@ func TestSubgraphPreconditionedPCG(t *testing.T) {
 	}
 	t.Logf("core %d of %d", st.CoreSize, g.N())
 	b := meanFree(rng, g.N())
-	pcg := solver.PCG(solver.LapOperator(g), p, b, solver.DefaultOptions())
+	pcg, err := solver.PCGCtx(context.Background(), solver.LapOperator(g), p, b, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !pcg.Converged {
 		t.Fatalf("subgraph PCG did not converge (%d iters)", pcg.Iterations)
 	}
-	cg := solver.CG(solver.LapOperator(g), b, solver.DefaultOptions())
+	cg, err := solver.PCGCtx(context.Background(), solver.LapOperator(g), solver.Identity(g.N()), b, solver.DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
 	t.Logf("subgraph PCG iters=%d, plain CG iters=%d", pcg.Iterations, cg.Iterations)
 	if cg.Converged && pcg.Iterations > cg.Iterations {
 		t.Errorf("subgraph preconditioner slower than plain CG: %d vs %d", pcg.Iterations, cg.Iterations)
@@ -198,7 +205,7 @@ func TestProbeCoreSizeMatchesElimination(t *testing.T) {
 
 func BenchmarkSubgraphApply(b *testing.B) {
 	g := workload.Grid3D(20, 20, 20, workload.Lognormal(1), 1)
-	res, err := sparsify.Sparsify(g, sparsify.DefaultOptions())
+	res, err := sparsify.SparsifyCtx(context.Background(), g, sparsify.DefaultOptions())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -6,6 +6,7 @@
 package support
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -93,7 +94,11 @@ type Numbers struct {
 // iters bounds the Lanczos depth; 50–100 gives 2–3 digits on well-behaved
 // pencils.
 func Probe(a solver.Operator, bInv solver.Preconditioner, probe []float64, iters int) (Numbers, error) {
-	res := solver.PCG(a, bInv, probe, solver.Options{Tol: 1e-14, MaxIter: iters, ProjectMean: true})
+	res, err := solver.PCGCtx(context.TODO(), a, bInv, probe,
+		solver.Options{Tol: 1e-14, MaxIter: iters, ProjectMean: true})
+	if err != nil {
+		return Numbers{}, err
+	}
 	lmin, lmax, err := solver.SpectrumEstimate(res.Alphas, res.Betas)
 	if err != nil {
 		return Numbers{}, err

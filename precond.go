@@ -60,7 +60,7 @@ type SubgraphResult struct {
 // sparsified subgraph applied via partial Cholesky elimination of degree-1/2
 // vertices plus a dense core solve. coreLimit bounds the dense core.
 func NewSubgraphPreconditioner(g *Graph, opt PlanarOptions, coreLimit int) (*SubgraphResult, error) {
-	sres, err := sparsify.Sparsify(g, sparsify.Options{
+	sres, err := sparsify.SparsifyCtx(context.TODO(), g, sparsify.Options{
 		Base: opt.Base, ExtraFraction: opt.ExtraFraction, Seed: opt.Seed,
 	})
 	if err != nil {
@@ -81,13 +81,17 @@ func NewSubgraphPreconditioner(g *Graph, opt PlanarOptions, coreLimit int) (*Sub
 // library augment trees with extra edges or clusters.
 func NewTreePreconditioner(g *Graph, base BaseTree, seed int64) (Preconditioner, error) {
 	var edges []Edge
+	var err error
 	switch base {
 	case MaxWeightTree:
-		edges = mst.Kruskal(g, mst.Max)
+		edges, err = mst.KruskalCtx(context.TODO(), g, mst.Max)
 	case LowStretchTree:
-		edges = lowstretch.AKPW(g, seed)
+		edges, err = lowstretch.AKPWCtx(context.TODO(), g, seed)
 	default:
 		return nil, fmt.Errorf("hcd: unknown base tree %d", base)
+	}
+	if err != nil {
+		return nil, err
 	}
 	forest, err := graph.NewFromUniqueEdges(g.N(), edges)
 	if err != nil {
@@ -132,7 +136,8 @@ func NewSubgraphPreconditionerMatched(g *Graph, targetReduction float64, seed in
 	for iter := 0; iter < 12; iter++ {
 		mid := (lo + hi) / 2
 		opt := subgraphOpt(seed, mid)
-		sres, err := sparsify.Sparsify(g, sparsify.Options{Base: opt.Base, ExtraFraction: opt.ExtraFraction, Seed: opt.Seed})
+		sres, err := sparsify.SparsifyCtx(context.TODO(), g,
+			sparsify.Options{Base: opt.Base, ExtraFraction: opt.ExtraFraction, Seed: opt.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -165,39 +170,11 @@ func DefaultHierarchyOptions() HierarchyOptions { return hierarchy.DefaultOption
 // precursor sketched in the paper's Section 1.1 and Remark 3.
 type Hierarchy = hierarchy.Hierarchy
 
-// NewHierarchy builds a multilevel Steiner preconditioner for g.
-func NewHierarchy(g *Graph, opt HierarchyOptions) (*Hierarchy, error) {
-	return hierarchy.New(g, opt)
-}
-
-// NewHierarchyCtx is NewHierarchy under a context: the per-level clusterings
-// poll cancellation, so a cancelled setup returns an error wrapping
-// ErrBuildCancelled promptly.
+// NewHierarchyCtx builds a multilevel Steiner preconditioner for g. The
+// per-level clusterings poll cancellation, so a cancelled setup returns an
+// error wrapping ErrBuildCancelled promptly.
 func NewHierarchyCtx(ctx context.Context, g *Graph, opt HierarchyOptions) (*Hierarchy, error) {
 	return hierarchy.NewCtx(ctx, g, opt)
-}
-
-// SolvePCG solves the Laplacian system A·x = b with preconditioned
-// conjugate gradients. b should be orthogonal to the constant vector on each
-// component; with opt.ProjectMean (default) it is projected automatically.
-// Dimension mismatches return an error wrapping ErrBadDimension (earlier
-// versions panicked and returned a bare SolveResult).
-//
-// Deprecated: SolvePCG is the context-free legacy form. Use SolvePCGCtx for
-// cancellation and deadlines, Do for multi-RHS requests, or an Engine for
-// repeated solves.
-func SolvePCG(g *Graph, b []float64, m Preconditioner, opt SolveOptions) (SolveResult, error) {
-	return SolvePCGCtx(context.Background(), g, b, m, opt)
-}
-
-// Solve is the batteries-included entry point: it builds a multilevel
-// Steiner preconditioner and runs PCG to the default tolerance.
-//
-// Deprecated: Solve is a thin wrapper over SolveCtx with
-// context.Background(). Use SolveCtx (or Do); for repeated solves on one
-// graph prefer NewHierarchyEngine.
-func Solve(g *Graph, b []float64) (SolveResult, error) {
-	return SolveCtx(context.Background(), g, b)
 }
 
 // SupportNumbers holds measured support values σ(A,B), σ(B,A) and the
@@ -225,21 +202,4 @@ type ResistanceComputer = resist.Computer
 // NewResistanceComputer prepares resistance queries for a connected graph.
 func NewResistanceComputer(g *Graph) (*ResistanceComputer, error) {
 	return resist.New(g)
-}
-
-// SolveChebyshev solves A·x = b by Chebyshev iteration — the inner-product-
-// free companion of the parallel preconditioners (no reductions across
-// workers per step). It bootstraps eigenvalue bounds for M⁻¹A from a short
-// PCG probe, then iterates. Returns the solution and the residual history.
-//
-// Deprecated: SolveChebyshev is a thin wrapper over SolveChebyshevCtx with
-// context.Background() and DefaultChebyshevOptions. Use the Ctx form (or Do
-// with SolveMethodChebyshev) to configure the probe depth and Ritz-bracket
-// widening, observe the spectrum estimate, or cancel mid-solve.
-func SolveChebyshev(g *Graph, b []float64, m Preconditioner, iters int) ([]float64, []float64, error) {
-	res, err := SolveChebyshevCtx(context.Background(), g, b, m, DefaultChebyshevOptions(iters))
-	if err != nil {
-		return nil, nil, err
-	}
-	return res.X, res.Residuals, nil
 }

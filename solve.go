@@ -1,11 +1,11 @@
 package hcd
 
 // The solve engine: context-aware entry points, reusable solve sessions,
-// termination outcomes, and per-solve metrics. All solve paths (Solve,
-// SolvePCG, SolveCtx, SolvePCGCtx, Engine.Solve, SolveChebyshev*) converge
-// on one PCG/Chebyshev implementation in internal/solver, whose level-1
-// kernels (dot, norm, axpy, mean projection) and Laplacian matvec run across
-// cores with a serial fallback below a grain-size threshold.
+// termination outcomes, and per-solve metrics. All solve paths (SolveCtx,
+// SolvePCGCtx, SolveChebyshevCtx, Engine.Solve) converge on one
+// PCG/Chebyshev implementation in internal/solver, whose level-1 kernels
+// (dot, norm, axpy, mean projection) and Laplacian matvec run across cores
+// with a serial fallback below a grain-size threshold.
 
 import (
 	"context"
@@ -80,9 +80,9 @@ func NewEngine(g *Graph, m Preconditioner, opt SolveOptions) (*Engine, error) {
 
 // NewHierarchyEngine builds the batteries-included session: a multilevel
 // Steiner preconditioner (the Remark 3 construction) plus a solve engine.
-// This is the session form of Solve.
+// This is the session form of SolveCtx.
 func NewHierarchyEngine(g *Graph, hopt HierarchyOptions, opt SolveOptions) (*Engine, error) {
-	h, err := hierarchy.New(g, hopt)
+	h, err := hierarchy.NewCtx(context.TODO(), g, hopt)
 	if err != nil {
 		return nil, err
 	}
@@ -112,8 +112,7 @@ func SolvePCGCtx(ctx context.Context, g *Graph, b []float64, m Preconditioner, o
 // multilevel Steiner preconditioner and runs PCG to the default tolerance —
 // Do with the zero-value PrecondSpec. For repeated solves on one graph build
 // a NewHierarchyEngine instead, which amortizes both the preconditioner and
-// the work buffers. Solve is a thin wrapper over this with
-// context.Background().
+// the work buffers.
 func SolveCtx(ctx context.Context, g *Graph, b []float64) (SolveResult, error) {
 	resp, err := Do(ctx, g, SolveRequest{B: [][]float64{b}, Options: solver.DefaultOptions()})
 	var res SolveResult
@@ -162,8 +161,7 @@ type ChebyshevResult struct {
 // reductions across workers per step). It bootstraps eigenvalue bounds for
 // M⁻¹A from a short PCG probe, widens the Ritz bracket per opt, and
 // iterates under ctx. This is a thin wrapper over Do with
-// SolveMethodChebyshev and a single right-hand side; SolveChebyshev wraps it
-// with context.Background() and default options.
+// SolveMethodChebyshev and a single right-hand side.
 func SolveChebyshevCtx(ctx context.Context, g *Graph, b []float64, m Preconditioner, opt ChebyshevOptions) (ChebyshevResult, error) {
 	req := SolveRequest{B: [][]float64{b}, Method: SolveMethodChebyshev, M: m, Chebyshev: opt}
 	if m == nil {

@@ -40,6 +40,10 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
+// TestSolveCtxMatchesSolve: the batteries-included solve is the solve it
+// documents — a default multilevel hierarchy plus PCG at the default
+// options, to the same iteration count — converges, and reports its
+// metrics.
 func TestSolveCtxMatchesSolve(t *testing.T) {
 	g := hcd.OCT3D(6, 6, 6, hcd.DefaultOCTOptions())
 	rng := rand.New(rand.NewSource(31))
@@ -54,12 +58,16 @@ func TestSolveCtxMatchesSolve(t *testing.T) {
 	if res.Metrics.MatVecs == 0 || res.Metrics.PrecondApplies == 0 || res.Metrics.TotalTime <= 0 {
 		t.Errorf("hierarchy-preconditioned solve metrics not populated: %+v", res.Metrics)
 	}
-	legacy, err := hcd.Solve(g, b)
+	h, err := hcd.NewHierarchyCtx(context.Background(), g, hcd.DefaultHierarchyOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if legacy.Iterations != res.Iterations {
-		t.Errorf("wrapper iterations %d vs ctx %d", legacy.Iterations, res.Iterations)
+	explicit, err := hcd.SolvePCGCtx(context.Background(), g, b, h, hcd.DefaultSolveOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if explicit.Iterations != res.Iterations {
+		t.Errorf("explicit hierarchy solve took %d iterations, SolveCtx %d", explicit.Iterations, res.Iterations)
 	}
 }
 
@@ -104,10 +112,7 @@ func TestSolveChebyshevCtxReportsSpectrum(t *testing.T) {
 	g := hcd.Grid2D(12, 12, hcd.LognormalWeights(1), 1)
 	rng := rand.New(rand.NewSource(34))
 	b := meanFree(rng, g.N())
-	d, err := hcd.DecomposeFixedDegree(g, 4, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := decompose(t, g, hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 1})
 	p, err := hcd.NewSteinerPreconditioner(d)
 	if err != nil {
 		t.Fatal(err)
