@@ -69,6 +69,116 @@ func TestDecomposeCtxMethods(t *testing.T) {
 	}
 }
 
+// The tests below pin DecomposeCtx's full build (with the evaluate stage)
+// to the report-free build each per-method facade used to run: identical
+// assignments and identical method-specific extras, so the evaluate stage
+// never perturbs the decomposition it measures.
+
+func sameAssignment(t *testing.T, label string, want, got *hcd.Decomposition) {
+	t.Helper()
+	if want.Count != got.Count {
+		t.Fatalf("%s: count %d != %d", label, got.Count, want.Count)
+	}
+	for v := range want.Assign {
+		if want.Assign[v] != got.Assign[v] {
+			t.Fatalf("%s: vertex %d assigned %d, want %d", label, v, got.Assign[v], want.Assign[v])
+		}
+	}
+}
+
+// reportFree runs DecomposeCtx with SkipReport set, the build a per-method
+// facade ran.
+func reportFree(t *testing.T, g *hcd.Graph, opt hcd.DecomposeOptions) *hcd.DecomposeResult {
+	t.Helper()
+	opt.SkipReport = true
+	res, err := hcd.DecomposeCtx(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+func TestDecomposeCtxMatchesTreeWrappers(t *testing.T) {
+	g := hcd.RandomTree(500, hcd.LognormalWeights(1), 3)
+	for _, parallel := range []bool{false, true} {
+		opt := hcd.DecomposeOptions{Method: hcd.MethodTree, Parallel: parallel}
+		res, err := hcd.DecomposeCtx(context.Background(), g, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameAssignment(t, "tree", reportFree(t, g, opt).D, res.D)
+		if res.Report.Count != res.D.Count || res.Report.Phi <= 0 {
+			t.Errorf("report %+v inconsistent with decomposition", res.Report)
+		}
+	}
+}
+
+func TestDecomposeCtxMatchesFixedDegreeWrapper(t *testing.T) {
+	g := hcd.Grid3D(8, 8, 8, hcd.LognormalWeights(1), 2)
+	opt := hcd.DecomposeOptions{Method: hcd.MethodFixedDegree, SizeCap: 4, Seed: 2}
+	res, err := hcd.DecomposeCtx(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameAssignment(t, "fixed-degree", reportFree(t, g, opt).D, res.D)
+	if res.Report != hcd.Evaluate(res.D) {
+		t.Errorf("pipeline report %+v != Evaluate", res.Report)
+	}
+}
+
+func TestDecomposeCtxMatchesPlanarWrapper(t *testing.T) {
+	g := hcd.Grid2D(20, 20, hcd.LognormalWeights(1), 4)
+	opt := hcd.DefaultDecomposeOptions(hcd.MethodPlanar)
+	opt.Seed = 4
+	res, err := hcd.DecomposeCtx(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportFree(t, g, opt)
+	sameAssignment(t, "planar", want.D, res.D)
+	if res.CoreSize != want.CoreSize || res.CutEdges != want.CutEdges {
+		t.Errorf("core/cut (%d, %d) != report-free build (%d, %d)",
+			res.CoreSize, res.CutEdges, want.CoreSize, want.CutEdges)
+	}
+	if res.AvgStretch != want.AvgStretch {
+		t.Errorf("avg stretch %v != %v", res.AvgStretch, want.AvgStretch)
+	}
+	if res.B == nil || res.B.N() != g.N() {
+		t.Errorf("missing or mis-sized sparse subgraph B")
+	}
+}
+
+func TestDecomposeCtxMatchesMinorFreeWrapper(t *testing.T) {
+	g := hcd.Grid2D(16, 16, hcd.LognormalWeights(1), 6)
+	opt := hcd.DefaultDecomposeOptions(hcd.MethodMinorFree)
+	opt.Seed = 6
+	res, err := hcd.DecomposeCtx(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportFree(t, g, opt)
+	sameAssignment(t, "minor-free", want.D, res.D)
+	if res.CoreSize != want.CoreSize || res.CutEdges != want.CutEdges || res.AvgStretch != want.AvgStretch {
+		t.Errorf("extras (%d, %d, %v) != report-free build (%d, %d, %v)",
+			res.CoreSize, res.CutEdges, res.AvgStretch,
+			want.CoreSize, want.CutEdges, want.AvgStretch)
+	}
+}
+
+func TestDecomposeCtxMatchesSpectralWrapper(t *testing.T) {
+	g := hcd.Grid2D(12, 12, hcd.LognormalWeights(1), 8)
+	opt := hcd.DefaultDecomposeOptions(hcd.MethodSpectral)
+	res, err := hcd.DecomposeCtx(context.Background(), g, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := reportFree(t, g, opt)
+	sameAssignment(t, "spectral", want.D, res.D)
+	if res.SpectralStats != want.SpectralStats {
+		t.Errorf("stats %+v != report-free build %+v", res.SpectralStats, want.SpectralStats)
+	}
+}
+
 // TestDecomposeCtxBuildMetrics checks every method reports non-empty metrics
 // with positive per-stage timings and the stage set its pipeline defines.
 func TestDecomposeCtxBuildMetrics(t *testing.T) {
